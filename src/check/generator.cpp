@@ -1,6 +1,7 @@
 #include "check/generator.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace xpass::check {
 
@@ -20,28 +21,42 @@ T pick(sim::Rng& rng, std::initializer_list<T> xs) {
   return *(xs.begin() + i);
 }
 
+Protocol pick(sim::Rng& rng, const std::vector<Protocol>& xs) {
+  return xs[static_cast<size_t>(
+      rng.uniform_int(0, static_cast<int64_t>(xs.size()) - 1))];
+}
+
 Protocol sample_protocol(sim::Rng& rng) {
   // ExpressPass-heavy: half the runs exercise the paper's protocol and its
   // property oracles; the rest spread over the comparators so the engine
-  // oracles (determinism, relabel) sweep every transport.
+  // oracles (determinism, relabel) sweep every transport. Rows with a fuzz
+  // share are drawn outright; the others split the remainder evenly.
   const double r = rng.uniform();
-  if (r < 0.50) return Protocol::kExpressPass;
-  if (r < 0.58) return Protocol::kExpressPassNaive;
-  return pick(rng, {Protocol::kDctcp, Protocol::kRcp, Protocol::kHull,
-                    Protocol::kDx, Protocol::kCubic, Protocol::kBbr,
-                    Protocol::kDcqcn, Protocol::kTimely, Protocol::kSird,
-                    Protocol::kBfc, Protocol::kIdeal});
-}
-
-bool xp_primary(Protocol p) {
-  return p == Protocol::kExpressPass || p == Protocol::kExpressPassNaive;
+  double drawn = 0;
+  std::vector<Protocol> rest;
+  for (const runner::ProtocolInfo& row : runner::protocol_table()) {
+    if (row.fuzz_share > 0) {
+      drawn += row.fuzz_share;
+      if (r < drawn) return row.protocol;
+    } else {
+      rest.push_back(row.protocol);
+    }
+  }
+  return pick(rng, rest);
 }
 
 // Protocols allowed as cross-traffic on an ExpressPass fabric (the
-// drop-tail-compatible reactive set scenario.cpp admits into flow_groups).
+// drop-tail-compatible reactive set scenario.cpp admits into flow_groups),
+// in their cross-traffic slot order.
 Protocol sample_cross_protocol(sim::Rng& rng) {
-  return pick(rng, {Protocol::kCubic, Protocol::kDctcp, Protocol::kBbr,
-                    Protocol::kTimely, Protocol::kDx, Protocol::kRcp});
+  std::vector<Protocol> groupable;
+  for (const runner::ProtocolInfo& row : runner::protocol_table()) {
+    const auto slot = static_cast<size_t>(row.cross_traffic_slot);
+    if (slot == 0) continue;
+    if (groupable.size() < slot) groupable.resize(slot);
+    groupable[slot - 1] = row.protocol;
+  }
+  return pick(rng, groupable);
 }
 
 std::string_view topo_tag(TopologyKind k) {
@@ -150,7 +165,7 @@ ScenarioSpec generate_spec(sim::Rng& rng, uint64_t name_index,
       s.topology.kind == TopologyKind::kMultiBottleneck;
   const bool want_mixed =
       opts.mixed ||
-      (xp_primary(s.protocol) &&
+      (runner::is_credit_scheduled(s.protocol) &&
        s.topology.kind == TopologyKind::kDumbbell && rng.uniform() < 0.15);
   if (want_mixed) {
     // Mixed-protocol coexistence: all traffic comes from flow_groups (the

@@ -13,6 +13,7 @@ namespace xpass::check {
 
 namespace {
 
+using runner::is_credit_scheduled;
 using runner::Protocol;
 using runner::ScenarioResult;
 using runner::ScenarioSpec;
@@ -29,10 +30,6 @@ std::string strf(const char* fmt, ...) {
   std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
   return buf;
-}
-
-bool is_xp(Protocol p) {
-  return p == Protocol::kExpressPass || p == Protocol::kExpressPassNaive;
 }
 
 // Mixed-protocol coexistence runs draw all traffic from spec.flow_groups;
@@ -93,7 +90,9 @@ double fabric_rate(const ScenarioSpec& s) {
 // long-running so their bottleneck share is well-defined; the cross-traffic
 // groups may be anything (on/off bursts included — that is the point).
 bool coexistence_scenario(const ScenarioSpec& s) {
-  if (!is_xp(s.protocol) || s.flow_groups.size() < 2) return false;
+  if (!is_credit_scheduled(s.protocol) || s.flow_groups.size() < 2) {
+    return false;
+  }
   if (s.topology.kind != TopologyKind::kDumbbell) return false;
   if (s.stop.kind != StopKind::kWindow || s.stop.window < Time::ms(10) ||
       s.stop.warmup < Time::ms(10) || s.faults.any()) {
@@ -102,7 +101,7 @@ bool coexistence_scenario(const ScenarioSpec& s) {
   bool has_xp = false;
   bool has_other = false;
   for (const auto& g : s.flow_groups) {
-    if (is_xp(g.protocol)) {
+    if (is_credit_scheduled(g.protocol)) {
       if (g.traffic.bytes != transport::kLongRunning ||
           g.traffic.kind == TrafficKind::kOnOff || g.traffic.flows == 0) {
         return false;
@@ -252,7 +251,8 @@ const Oracle kOracles[] = {
        // Mixed fabrics carry reactive cross-traffic that fills drop-tail
        // queues; loss there is the cross-traffic's control signal, not a
        // broken credit schedule.
-       return is_xp(s.protocol) && !s.faults.any() && !mixed(s);
+       return is_credit_scheduled(s.protocol) && !s.faults.any() &&
+              !mixed(s);
      },
      [](const ScenarioSpec&, const ScenarioResult& r, const RunFn&,
         const OracleOptions&) {
@@ -282,7 +282,8 @@ const Oracle kOracles[] = {
      [](const ScenarioSpec& s, const OracleOptions&) {
        // The §3.1 calculus only bounds credit-scheduled arrivals; reactive
        // cross-traffic on a mixed fabric fills queues by design.
-       return is_xp(s.protocol) && !s.faults.any() && !mixed(s);
+       return is_credit_scheduled(s.protocol) && !s.faults.any() &&
+              !mixed(s);
      },
      [](const ScenarioSpec& s, const ScenarioResult& r, const RunFn&,
         const OracleOptions& o) {
@@ -348,7 +349,7 @@ const Oracle kOracles[] = {
        size_t xp_starved = 0;
        size_t xp_groups = 0;
        for (const auto& g : r.groups) {
-         if (!is_xp(g.protocol)) continue;
+         if (!is_credit_scheduled(g.protocol)) continue;
          ++xp_groups;
          xp_goodput += g.goodput_bps;
          xp_starved += g.starved;

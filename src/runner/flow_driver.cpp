@@ -67,16 +67,20 @@ transport::Connection& FlowDriver::add_grouped(const transport::FlowSpec& spec,
   return *raw;
 }
 
-bool FlowDriver::run_to_completion(sim::Time deadline) {
-  const sim::Time chunk = sim::Time::ms(1);
-  while (sim_.now() < deadline) {
-    if (completed() + failed() >= scheduled_) break;
-    sim::Time next = sim_.now() + chunk;
-    if (next > deadline) next = deadline;
-    sim_.run_until(next);
-    // A budget abort turns run_until into a no-op: now() stops advancing,
-    // so without this break the settle loop would spin forever.
-    if (sim_.aborted()) break;
+bool FlowDriver::run_to_completion(
+    sim::Time deadline, sim::Time chunk,
+    const std::function<bool(sim::Time)>& advance) {
+  for (sim::Time t = sim_.now();
+       t < deadline && completed() + failed() < scheduled_;) {
+    t = std::min(t + chunk, deadline);
+    if (advance) {
+      if (!advance(t)) break;
+    } else {
+      sim_.run_until(t);
+      // A budget abort turns run_until into a no-op: now() stops
+      // advancing, so without this break the settle loop would spin on.
+      if (sim_.aborted()) break;
+    }
   }
   return completed() >= scheduled_;
 }

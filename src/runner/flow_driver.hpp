@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,9 +80,13 @@ class FlowDriver {
   }
 
   // Runs until every scheduled flow is settled (completed or failed) or
-  // `deadline` passes. Returns true iff everything *completed* — aborted
-  // flows end the wait but still count as a false result. Serial runs only.
-  bool run_to_completion(sim::Time deadline);
+  // `deadline` passes, checking every `chunk`. Returns true iff everything
+  // *completed* — aborted flows end the wait but still count as a false
+  // result. `advance(t)` moves the clock to t and returns false once a
+  // budget abort stopped it; by default it runs the driver's simulator.
+  bool run_to_completion(sim::Time deadline,
+                         sim::Time chunk = sim::Time::ms(1),
+                         const std::function<bool(sim::Time)>& advance = {});
 
   // Drains every shard sink's goodput into rates() in shard order (no-op in
   // serial runs). Call only at window barriers / after the run, when the

@@ -1,6 +1,7 @@
 #include "runner/scenario.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -42,14 +43,6 @@ Built build_network(const ScenarioSpec& spec, net::Topology& topo,
       protocol_link_config(proto, ts.host_rate_bps, ts.host_prop);
   net::LinkConfig fabric_cfg =
       protocol_link_config(proto, fabric_rate_bps, fabric_prop);
-  // Coexistence: a kDctcp group needs marking on the shared queues even
-  // when the primary protocol's fabric has none.
-  bool want_ecn = false;
-  for (const FlowGroupSpec& g : spec.flow_groups) {
-    want_ecn = want_ecn || g.protocol == Protocol::kDctcp;
-  }
-  const double rates[] = {ts.host_rate_bps, fabric_rate_bps};
-  size_t i = 0;
   for (net::LinkConfig* cfg : {&host_cfg, &fabric_cfg}) {
     if (ts.credit_queue_pkts) cfg->credit_queue_pkts = *ts.credit_queue_pkts;
     if (ts.host_credit_shaper_noise) {
@@ -58,10 +51,14 @@ Built build_network(const ScenarioSpec& spec, net::Topology& topo,
     if (ts.link_jitter > sim::Time::zero()) {
       cfg->prop_jitter = ts.link_jitter;
     }
-    if (want_ecn && cfg->data_queue.ecn_threshold_bytes == 0) {
-      cfg->data_queue.ecn_threshold_bytes = dctcp_k_bytes(rates[i]);
+    // Coexistence: a group whose own fabric marks ECN (DCTCP) needs marking
+    // on the shared queues even when the primary protocol's fabric has none.
+    for (const FlowGroupSpec& g : spec.flow_groups) {
+      if (cfg->data_queue.ecn_threshold_bytes != 0) break;
+      cfg->data_queue.ecn_threshold_bytes =
+          protocol_link_config(g.protocol, cfg->rate_bps, cfg->prop_delay)
+              .data_queue.ecn_threshold_bytes;
     }
-    ++i;
   }
 
   Built b;
@@ -261,17 +258,6 @@ void add_traffic(const ScenarioSpec& spec, const TrafficSpec& tr,
   }
 }
 
-void add_traffic(const ScenarioSpec& spec, const Built& b,
-                 sim::Simulator& sim, FlowDriver& driver,
-                 double fabric_rate_bps) {
-  add_traffic(spec, spec.traffic, b, sim, driver, fabric_rate_bps,
-              /*group_t=*/nullptr, /*group=*/0);
-}
-
-bool is_expresspass(Protocol p) {
-  return p == Protocol::kExpressPass || p == Protocol::kExpressPassNaive;
-}
-
 // Mixed-fabric admission: a group either shares the primary protocol (and
 // its transport) or must be one of the drop-tail-compatible reactive stacks
 // that can run on whatever fabric the primary configured. Everything else
@@ -284,16 +270,10 @@ void validate_flow_groups(const ScenarioSpec& spec) {
           "ScenarioSpec.flow_groups: share must be > 0");
     }
     if (g.protocol == spec.protocol) continue;
-    if (is_expresspass(g.protocol) && is_expresspass(spec.protocol)) {
+    if (is_credit_scheduled(g.protocol) && is_credit_scheduled(spec.protocol)) {
       continue;  // naive/feedback variants share the credit fabric
     }
-    const bool groupable = g.protocol == Protocol::kDctcp ||
-                           g.protocol == Protocol::kRcp ||
-                           g.protocol == Protocol::kDx ||
-                           g.protocol == Protocol::kCubic ||
-                           g.protocol == Protocol::kTimely ||
-                           g.protocol == Protocol::kBbr;
-    if (!groupable) {
+    if (protocol_info(g.protocol).cross_traffic_slot == 0) {
       throw std::invalid_argument(
           std::string("ScenarioSpec.flow_groups: protocol ") +
           std::string(protocol_name(g.protocol)) +
@@ -309,9 +289,9 @@ void validate_flow_groups(const ScenarioSpec& spec) {
 constexpr uint32_t kGroupSaltStride = 1u << 20;
 
 // Everything after the run loop: final sweeps, scalar extraction, recorder
-// mirroring, teardown. Shared verbatim by the serial and sharded paths —
-// by the time it runs, a sharded driver has already merged its shard sinks,
-// so both paths read the same collectors the same way.
+// mirroring, teardown. By the time it runs, a sharded driver has already
+// merged its shard sinks, so serial and sharded runs read the same
+// collectors the same way.
 ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
                           net::Topology& topo, const Built& b,
                           FlowDriver& driver, sim::InvariantChecker& checker,
@@ -433,7 +413,7 @@ ScenarioResult finish_run(const ScenarioSpec& spec, sim::Simulator& sim,
     }
   }
 
-  if (is_expresspass(spec.protocol)) {
+  if (is_credit_scheduled(spec.protocol)) {
     const core::CreditLedger ledger =
         core::credit_ledger(topo, driver.connections());
     res.credits_received = ledger.received;
@@ -511,19 +491,7 @@ void validate_parallel(const ScenarioSpec& spec, const net::Topology& topo) {
         "(per-group transports and result extraction are serial-engine "
         "machinery)");
   }
-  const char* why = nullptr;
-  if (spec.protocol == Protocol::kIdeal) {
-    why = "kIdeal's central max-min oracle is global state";
-  } else if (spec.protocol == Protocol::kDcqcn ||
-             spec.protocol == Protocol::kTimely) {
-    why = "PFC-based protocols backpressure across link boundaries";
-  } else if (spec.protocol == Protocol::kSird) {
-    why = "SIRD's per-receiver grant allocator is cross-flow shared state";
-  } else if (spec.protocol == Protocol::kBfc) {
-    why = "BFC's per-hop flow backpressure mutates upstream ports across "
-          "the cut";
-  }
-  if (why != nullptr) {
+  if (const char* why = protocol_info(spec.protocol).unshardable) {
     throw std::invalid_argument(std::string("ScenarioSpec.shards: protocol ") +
                                 std::string(protocol_name(spec.protocol)) +
                                 " cannot run sharded (" + why + ")");
@@ -556,191 +524,27 @@ void validate_parallel(const ScenarioSpec& spec, const net::Topology& topo) {
   }
 }
 
-// The sharded twin of ScenarioEngine::run(): identical construction order
-// and measurement, with the simulation clock driven by a ParallelSimulator
-// over a partitioned topology. Deterministic in (spec.seed, spec) — which
-// includes spec.shards; different shard counts are different (individually
-// reproducible) experiments.
-ScenarioResult run_parallel_scenario(const ScenarioSpec& spec,
-                                     const RunOverrides& overrides) {
-  sim::ParallelSimulator psim(spec.seed, spec.shards,
-                              spec.heap_only_events
-                                  ? sim::EventQueue::Backend::kHeapOnly
-                                  : sim::EventQueue::Backend::kHybrid);
-  sim::Simulator& sim = psim.control();
-  {
-    sim::RunBudget budget = spec.budget.value_or(sim::RunBudget{});
-    if (overrides.wall_clock_ms > 0 && (budget.max_wall_ms <= 0 ||
-                                        overrides.wall_clock_ms <
-                                            budget.max_wall_ms)) {
-      budget.max_wall_ms = overrides.wall_clock_ms;
-    }
-    if (budget.any()) psim.set_budget(budget);
-  }
-  net::Topology topo(sim);
-
-  const TopologySpec& ts = spec.topology;
-  const double fabric_rate =
-      ts.fabric_rate_bps > 0 ? ts.fabric_rate_bps : ts.host_rate_bps;
-  const sim::Time fabric_prop =
-      ts.fabric_prop > sim::Time::zero() ? ts.fabric_prop : ts.host_prop;
-  Built b = build_network(spec, topo, fabric_rate, fabric_prop);
-  validate_parallel(spec, topo);
-
-  const net::Partition part = net::partition_topology(topo, spec.shards);
-  psim.set_lookahead(part.lookahead);
-
-  // Per-shard packet pools, intentionally leaked: freelist nodes migrate
-  // between pools whenever the control thread acquires a packet a worker
-  // later releases (or vice versa at teardown), so no pool that ever served
-  // this run may free its slabs (see PacketPool's file comment).
-  std::vector<net::PacketPool*> pools;
-  pools.reserve(psim.shard_count());
-  for (size_t i = 0; i < psim.shard_count(); ++i) {
-    pools.push_back(new net::PacketPool());
-  }
-  psim.set_worker_init(
-      [pools](size_t shard) { net::PacketPool::bind(pools[shard]); });
-
-  // Re-point every node (and its ports) at its shard's simulator, then give
-  // the cut ports their cross-shard egress route. Must precede
-  // make_transport(): connections and per-port protocol state (RCP) bind to
-  // whichever simulator the endpoints hold.
-  for (size_t id = 0; id < topo.num_nodes(); ++id) {
-    topo.node(id).rebind_simulator(psim.shard(part.shard_of[id]));
-  }
-  for (const auto& l : topo.links()) {
-    const uint32_t sa = part.shard_of[l.a];
-    const uint32_t sb = part.shard_of[l.b];
-    if (sa == sb) continue;
-    l.pa->set_remote_route(&psim, sa, sb);
-    l.pb->set_remote_route(&psim, sb, sa);
-  }
-
-  auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
-                                  spec.xp ? &*spec.xp : nullptr);
-  FlowDriver driver(sim, *transport);
-  driver.set_parallel(psim, part.shard_of);
-  // Traffic draws come from the control RNG — the same stream, in the same
-  // order, as a serial run of this spec.
-  add_traffic(spec, b, sim, driver, fabric_rate);
-
-  // Faults, invariant sweeps, and telemetry all run as control events: they
-  // fire at window barriers while the workers are parked, which is exactly
-  // when cross-shard reads and port fail/recover mutations are safe.
-  sim::FaultPlan plan(spec.fault_seed);
-  net::FaultInjector injector(topo, plan);
-  const bool has_faults = spec.faults.any();
-  if (has_faults) {
-    const net::Topology::LinkRec* target = nullptr;
-    for (const auto& l : topo.links()) {
-      if (topo.node(l.a).kind() == net::Node::Kind::kSwitch &&
-          topo.node(l.b).kind() == net::Node::Kind::kSwitch) {
-        target = &l;
-        break;
-      }
-    }
-    if (target == nullptr && !topo.links().empty()) {
-      target = &topo.links().front();
-    }
-    if (target != nullptr) {
-      apply_fault_scenario(spec.faults, injector, topo.node(target->a),
-                           topo.node(target->b));
-      plan.arm(sim);
-    }
-  }
-
-  sim::InvariantChecker checker(sim);
-  if (spec.check_invariants) {
-    NetInvariantOptions iopts;
-    iopts.expect_zero_data_loss = is_expresspass(spec.protocol);
-    register_network_invariants(checker, topo, driver,
-                                has_faults ? &plan : nullptr, iopts);
-    checker.start(sim::Time::us(100));
-  }
-
-  stats::Recorder rec;
-  topo.register_telemetry(rec, spec.telemetry.per_port_queue_series);
-  driver.register_telemetry(rec, spec.telemetry.flow_rate_series);
-  if (is_expresspass(spec.protocol)) {
-    core::register_credit_telemetry(rec, topo, driver.connections());
-  }
-  if (spec.telemetry.bottleneck_queue_series && b.bottleneck != nullptr) {
-    net::Port* p = b.bottleneck;
-    rec.series_gauge("queue.bottleneck.bytes", [p] {
-      return static_cast<double>(p->data_queue().bytes());
-    });
-  }
-
-  // Stepped sampling: each step ends at a window barrier, the shard rate
-  // sinks are drained, and only then do the gauges sample — so a sampled
-  // sharded run reads consistent global state without ever interrupting a
-  // window.
-  const sim::Time interval = spec.telemetry.sample_interval;
-  auto run_until = [&](sim::Time until) {
-    if (interval > sim::Time::zero()) {
-      sim::Time t = sim.now();
-      while (t < until) {
-        t = std::min(t + interval, until);
-        psim.run_until(t);
-        if (sim.aborted()) break;  // drop the partial sample point
-        driver.sync_rates();
-        rec.sample_all(t.to_sec());
-      }
-    } else {
-      psim.run_until(until);
-    }
-  };
-
-  std::vector<std::pair<uint32_t, double>> rate_pairs;
-  uint64_t tx_before = 0;
-  bool completion_result = false;
-  switch (spec.stop.kind) {
-    case StopKind::kRunFor:
-      run_until(spec.stop.horizon);
-      break;
-    case StopKind::kWindow:
-      run_until(spec.stop.warmup);
-      driver.sync_rates();
-      if (b.bottleneck != nullptr) tx_before = b.bottleneck->tx_data_bytes();
-      driver.rates().snapshot_rates_ordered(spec.stop.warmup);  // reset
-      run_until(spec.stop.warmup + spec.stop.window);
-      driver.sync_rates();
-      rate_pairs = driver.rates().snapshot_rates_ordered(spec.stop.window);
-      break;
-    case StopKind::kCompletion: {
-      const sim::Time chunk =
-          interval > sim::Time::zero() ? interval : sim::Time::ms(1);
-      sim::Time t = sim.now();
-      while (t < spec.stop.horizon && !sim.aborted() &&
-             driver.completed() + driver.failed() < driver.scheduled()) {
-        t = std::min(t + chunk, spec.stop.horizon);
-        psim.run_until(t);
-        if (sim.aborted()) break;
-        if (interval > sim::Time::zero()) {
-          driver.sync_rates();
-          rec.sample_all(t.to_sec());
-        }
-      }
-      completion_result = driver.completed() == driver.scheduled();
-      break;
-    }
-  }
-  driver.finish_parallel();
-
-  return finish_run(spec, sim, topo, b, driver, checker, injector, plan,
-                    has_faults, rec, std::move(rate_pairs), tx_before,
-                    completion_result);
-}
-
 }  // namespace
 
+// Deterministic in (spec.seed, spec) — which includes spec.shards: a sharded
+// run drives the same construction and measurement with a ParallelSimulator
+// over a partitioned topology, and different shard counts are different
+// (individually reproducible) experiments.
 ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
                                    const RunOverrides& overrides) const {
-  if (spec.shards > 1) return run_parallel_scenario(spec, overrides);
-  sim::Simulator sim(spec.seed, spec.heap_only_events
-                                    ? sim::EventQueue::Backend::kHeapOnly
-                                    : sim::EventQueue::Backend::kHybrid);
+  const bool sharded = spec.shards > 1;
+  const auto backend = spec.heap_only_events
+                           ? sim::EventQueue::Backend::kHeapOnly
+                           : sim::EventQueue::Backend::kHybrid;
+  std::optional<sim::ParallelSimulator> psim;
+  std::optional<sim::Simulator> serial;
+  if (sharded) {
+    psim.emplace(spec.seed, spec.shards, backend);
+  } else {
+    serial.emplace(spec.seed, backend);
+  }
+  // The sharded engine's control simulator carries every non-shard event.
+  sim::Simulator& sim = sharded ? psim->control() : *serial;
   // Merge the spec's budget with caller-side enforcement: the override's
   // wall-clock leash tightens (never loosens) whatever the spec declares.
   {
@@ -750,7 +554,13 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
                                             budget.max_wall_ms)) {
       budget.max_wall_ms = overrides.wall_clock_ms;
     }
-    if (budget.any()) sim.set_budget(budget);
+    if (budget.any()) {
+      if (sharded) {
+        psim->set_budget(budget);
+      } else {
+        sim.set_budget(budget);
+      }
+    }
   }
   net::Topology topo(sim);
 
@@ -761,15 +571,53 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
       ts.fabric_prop > sim::Time::zero() ? ts.fabric_prop : ts.host_prop;
   Built b = build_network(spec, topo, fabric_rate, fabric_prop);
 
+  net::Partition part;  // outlives the driver, which indexes its shard map
+  if (sharded) {
+    validate_parallel(spec, topo);
+    part = net::partition_topology(topo, spec.shards);
+    psim->set_lookahead(part.lookahead);
+
+    // Per-shard packet pools, intentionally leaked: freelist nodes migrate
+    // between pools whenever the control thread acquires a packet a worker
+    // later releases (or vice versa at teardown), so no pool that ever
+    // served this run may free its slabs (see PacketPool's file comment).
+    std::vector<net::PacketPool*> pools;
+    pools.reserve(psim->shard_count());
+    for (size_t i = 0; i < psim->shard_count(); ++i) {
+      pools.push_back(new net::PacketPool());
+    }
+    psim->set_worker_init(
+        [pools](size_t shard) { net::PacketPool::bind(pools[shard]); });
+
+    // Re-point every node (and its ports) at its shard's simulator, then
+    // give the cut ports their cross-shard egress route. Must precede
+    // make_transport(): connections and per-port protocol state (RCP) bind
+    // to whichever simulator the endpoints hold.
+    for (size_t id = 0; id < topo.num_nodes(); ++id) {
+      topo.node(id).rebind_simulator(psim->shard(part.shard_of[id]));
+    }
+    for (const auto& l : topo.links()) {
+      const uint32_t sa = part.shard_of[l.a];
+      const uint32_t sb = part.shard_of[l.b];
+      if (sa == sb) continue;
+      l.pa->set_remote_route(&*psim, sa, sb);
+      l.pb->set_remote_route(&*psim, sb, sa);
+    }
+  }
+
   auto transport = make_transport(spec.protocol, sim, topo, spec.base_rtt,
                                   spec.xp ? &*spec.xp : nullptr);
   FlowDriver driver(sim, *transport);
+  if (sharded) driver.set_parallel(*psim, part.shard_of);
   // Group transports must outlive the driver's connections; declared after
   // `transport` so they tear down first (connections are stopped explicitly
   // in finish_run before anything is destroyed).
   std::vector<std::unique_ptr<transport::Transport>> group_transports;
   if (spec.flow_groups.empty()) {
-    add_traffic(spec, b, sim, driver, fabric_rate);
+    // Traffic draws come from the control RNG: a sharded run draws the same
+    // stream, in the same order, as a serial run of this spec.
+    add_traffic(spec, spec.traffic, b, sim, driver, fabric_rate,
+                /*group_t=*/nullptr, /*group=*/0);
   } else {
     validate_flow_groups(spec);
     for (size_t g = 0; g < spec.flow_groups.size(); ++g) {
@@ -778,7 +626,8 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
       if (fg.protocol != spec.protocol) {
         group_transports.push_back(make_transport(
             fg.protocol, sim, topo, spec.base_rtt,
-            is_expresspass(fg.protocol) && spec.xp ? &*spec.xp : nullptr));
+            is_credit_scheduled(fg.protocol) && spec.xp ? &*spec.xp
+                                                        : nullptr));
         t = group_transports.back().get();
       }
       TrafficSpec tr = fg.traffic;
@@ -788,7 +637,10 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
   }
 
   // Faults target the first switch--switch link, falling back to the first
-  // link for single-switch topologies.
+  // link for single-switch topologies. Faults, invariant sweeps and
+  // telemetry are control events: a sharded run fires them at window
+  // barriers while the workers are parked, which is exactly when
+  // cross-shard reads and port fail/recover mutations are safe.
   sim::FaultPlan plan(spec.fault_seed);
   net::FaultInjector injector(topo, plan);
   const bool has_faults = spec.faults.any();
@@ -816,9 +668,9 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
     NetInvariantOptions iopts;
     // Zero-data-loss holds only when *every* flow is credit-scheduled: one
     // reactive cross-traffic group probes the queues by filling them.
-    bool all_xp = is_expresspass(spec.protocol);
+    bool all_xp = is_credit_scheduled(spec.protocol);
     for (const FlowGroupSpec& g : spec.flow_groups) {
-      all_xp = all_xp && is_expresspass(g.protocol);
+      all_xp = all_xp && is_credit_scheduled(g.protocol);
     }
     iopts.expect_zero_data_loss = all_xp;
     register_network_invariants(checker, topo, driver,
@@ -829,7 +681,7 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
   stats::Recorder rec;
   topo.register_telemetry(rec, spec.telemetry.per_port_queue_series);
   driver.register_telemetry(rec, spec.telemetry.flow_rate_series);
-  if (is_expresspass(spec.protocol)) {
+  if (is_credit_scheduled(spec.protocol)) {
     core::register_credit_telemetry(rec, topo, driver.connections());
   }
   if (spec.telemetry.bottleneck_queue_series && b.bottleneck != nullptr) {
@@ -839,22 +691,37 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
     });
   }
 
-  // Sampling steps run_until; the event stream a stepped run processes is
+  // Advances the clock to `t`; false once a budget abort stopped it (an
+  // aborted sim makes run_until a no-op, so every stepped loop must break
+  // on it or it would spin to its horizon). Sharded steps end at a window
+  // barrier.
+  auto advance = [&](sim::Time t) {
+    if (sharded) {
+      psim->run_until(t);
+    } else {
+      sim.run_until(t);
+    }
+    return !sim.aborted();
+  };
+  // Sampling steps the clock; the event stream a stepped run processes is
   // identical to one uninterrupted run, so sampling can never perturb a
-  // golden output. An aborted sim makes run_until a no-op, so every stepped
-  // loop must break on aborted() or it would spin to its horizon.
+  // golden output. The shard rate sinks drain before the gauges read, so a
+  // sampled sharded run sees consistent global state.
   const sim::Time interval = spec.telemetry.sample_interval;
+  const bool sampled = interval > sim::Time::zero();
+  auto sample = [&](sim::Time t) {
+    driver.sync_rates();
+    rec.sample_all(t.to_sec());
+  };
   auto run_until = [&](sim::Time until) {
-    if (interval > sim::Time::zero()) {
-      sim::Time t = sim.now();
-      while (t < until) {
+    if (sampled) {
+      for (sim::Time t = sim.now(); t < until;) {
         t = std::min(t + interval, until);
-        sim.run_until(t);
-        if (sim.aborted()) break;  // drop the partial sample point
-        rec.sample_all(t.to_sec());
+        if (!advance(t)) break;  // drop the partial sample point
+        sample(t);
       }
     } else {
-      sim.run_until(until);
+      advance(until);
     }
   };
 
@@ -867,28 +734,26 @@ ScenarioResult ScenarioEngine::run(const ScenarioSpec& spec,
       break;
     case StopKind::kWindow:
       run_until(spec.stop.warmup);
+      driver.sync_rates();
       if (b.bottleneck != nullptr) tx_before = b.bottleneck->tx_data_bytes();
       driver.rates().snapshot_rates_ordered(spec.stop.warmup);  // reset
       run_until(spec.stop.warmup + spec.stop.window);
+      driver.sync_rates();
       rate_pairs = driver.rates().snapshot_rates_ordered(spec.stop.window);
       break;
     case StopKind::kCompletion:
-      if (interval > sim::Time::zero()) {
-        // run_to_completion's 1ms settle checks, at sample granularity.
-        sim::Time t = sim.now();
-        while (t < spec.stop.horizon && !sim.aborted() &&
-               driver.completed() + driver.failed() < driver.scheduled()) {
-          t = std::min(t + interval, spec.stop.horizon);
-          sim.run_until(t);
-          if (sim.aborted()) break;
-          rec.sample_all(t.to_sec());
-        }
-        completion_result = driver.completed() == driver.scheduled();
-      } else {
-        completion_result = driver.run_to_completion(spec.stop.horizon);
-      }
+      // Settle checks every 1ms, or at every sample point when sampling.
+      completion_result = driver.run_to_completion(
+          spec.stop.horizon, sampled ? interval : sim::Time::ms(1),
+          [&](sim::Time t) {
+            if (!advance(t)) return false;
+            if (sampled) sample(t);
+            return true;
+          });
       break;
   }
+  driver.finish_parallel();
+
   return finish_run(spec, sim, topo, b, driver, checker, injector, plan,
                     has_faults, rec, std::move(rate_pairs), tx_before,
                     completion_result);

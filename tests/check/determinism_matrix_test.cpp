@@ -8,23 +8,15 @@
 namespace {
 
 using xpass::runner::Protocol;
+using xpass::runner::ProtocolInfo;
 using xpass::runner::protocol_name;
+using xpass::runner::protocol_table;
 using xpass::runner::ScenarioEngine;
 using xpass::runner::ScenarioResult;
 using xpass::runner::ScenarioSpec;
 using xpass::runner::StopSpec;
 using xpass::runner::TrafficKind;
 using xpass::sim::Time;
-
-constexpr Protocol kAllProtocols[] = {
-    Protocol::kExpressPass, Protocol::kExpressPassNaive,
-    Protocol::kDctcp,       Protocol::kRcp,
-    Protocol::kHull,        Protocol::kDx,
-    Protocol::kCubic,       Protocol::kDcqcn,
-    Protocol::kTimely,      Protocol::kIdeal,
-    Protocol::kSird,        Protocol::kBfc,
-    Protocol::kBbr,
-};
 
 // Run-to-run determinism over the full protocol matrix: same spec, same
 // seed, fresh engine => byte-identical recorder JSON and identical scalar
@@ -42,7 +34,8 @@ TEST(DeterminismMatrix, EveryProtocolThreeSeedsTwoRuns) {
   base.stop = StopSpec::completion(Time::sec(1));
   base.check_invariants = true;
 
-  for (const Protocol p : kAllProtocols) {
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
     for (const uint64_t seed : {1ull, 42ull, 9001ull}) {
       ScenarioSpec spec = base;
       spec.protocol = p;

@@ -21,26 +21,15 @@
 namespace {
 
 using xpass::runner::Protocol;
+using xpass::runner::ProtocolInfo;
 using xpass::runner::protocol_name;
+using xpass::runner::protocol_table;
 using xpass::runner::ScenarioEngine;
 using xpass::runner::ScenarioResult;
 using xpass::runner::ScenarioSpec;
 using xpass::runner::StopSpec;
 using xpass::runner::TrafficKind;
 using xpass::sim::Time;
-
-constexpr Protocol kAllProtocols[] = {
-    Protocol::kExpressPass, Protocol::kExpressPassNaive,
-    Protocol::kDctcp,       Protocol::kRcp,
-    Protocol::kHull,        Protocol::kDx,
-    Protocol::kCubic,       Protocol::kDcqcn,
-    Protocol::kTimely,      Protocol::kIdeal,
-    // Proactive comparators (added with the credit-scheduler framework;
-    // their goldens carry the proactive.* grant-waste scalars).
-    Protocol::kSird,        Protocol::kBfc,
-    // Model-based baseline (added with the coexistence framework).
-    Protocol::kBbr,
-};
 
 std::string golden_path(Protocol p) {
   return std::string(XPASS_RECORDER_GOLDEN_DIR) + "/" +
@@ -49,7 +38,8 @@ std::string golden_path(Protocol p) {
 
 TEST(RecorderGolden, EveryProtocolMatchesCommittedJson) {
   const bool regen = std::getenv("XPASS_REGEN_RECORDER_GOLDEN") != nullptr;
-  for (const Protocol p : kAllProtocols) {
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
     ScenarioSpec spec;
     spec.topology.scale = 3;
     spec.topology.host_prop = Time::us(2);

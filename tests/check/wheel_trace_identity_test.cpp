@@ -18,23 +18,15 @@
 namespace {
 
 using xpass::runner::Protocol;
+using xpass::runner::ProtocolInfo;
 using xpass::runner::protocol_name;
+using xpass::runner::protocol_table;
 using xpass::runner::ScenarioEngine;
 using xpass::runner::ScenarioResult;
 using xpass::runner::ScenarioSpec;
 using xpass::runner::StopSpec;
 using xpass::runner::TrafficKind;
 using xpass::sim::Time;
-
-constexpr Protocol kAllProtocols[] = {
-    Protocol::kExpressPass, Protocol::kExpressPassNaive,
-    Protocol::kDctcp,       Protocol::kRcp,
-    Protocol::kHull,        Protocol::kDx,
-    Protocol::kCubic,       Protocol::kDcqcn,
-    Protocol::kTimely,      Protocol::kIdeal,
-    Protocol::kSird,        Protocol::kBfc,
-    Protocol::kBbr,
-};
 
 TEST(WheelTraceIdentity, EveryProtocolHybridMatchesHeapOnly) {
   ScenarioSpec base;
@@ -46,7 +38,8 @@ TEST(WheelTraceIdentity, EveryProtocolHybridMatchesHeapOnly) {
   base.stop = StopSpec::completion(Time::sec(1));
   base.check_invariants = true;
 
-  for (const Protocol p : kAllProtocols) {
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
     ScenarioSpec spec = base;
     spec.protocol = p;
     spec.seed = 42;

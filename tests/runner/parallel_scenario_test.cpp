@@ -43,17 +43,25 @@ std::string run_json(const ScenarioSpec& spec) {
   return r.recorder.to_json(r.name);
 }
 
-// The shardable protocol set (kIdeal/kDcqcn/kTimely are rejected, below).
+// The expected shardable set, written out rather than read from the
+// protocol table (every other row is rejected, below).
 const Protocol kShardable[] = {
     Protocol::kExpressPass, Protocol::kExpressPassNaive, Protocol::kDctcp,
     Protocol::kRcp,         Protocol::kHull,             Protocol::kDx,
     Protocol::kCubic,       Protocol::kBbr,
 };
 
+bool expect_shardable(Protocol p) {
+  return std::find(std::begin(kShardable), std::end(kShardable), p) !=
+         std::end(kShardable);
+}
+
 TEST(ParallelScenario, DeterminismMatrixFixedShardCount) {
   // Two runs at the same shard count must agree byte-for-byte, for every
   // shardable protocol and multiple seeds.
-  for (Protocol p : kShardable) {
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
+    if (!expect_shardable(p)) continue;
     for (uint64_t seed : {1ull, 29ull}) {
       const ScenarioSpec spec = base_spec(p, seed, 2);
       const std::string a = run_json(spec);
@@ -65,9 +73,11 @@ TEST(ParallelScenario, DeterminismMatrixFixedShardCount) {
 }
 
 TEST(ParallelScenario, ShardsOneIsTheSerialCore) {
-  // shards=1 (and shards=0) route through the untouched serial path:
-  // recorder output is byte-identical to a spec without the field.
-  for (Protocol p : kShardable) {
+  // shards=1 (and shards=0) never build the parallel engine: recorder
+  // output is byte-identical to a spec without the field.
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
+    if (!expect_shardable(p)) continue;
     ScenarioSpec serial = base_spec(p, 29, 0);
     ScenarioSpec one = base_spec(p, 29, 1);
     EXPECT_EQ(run_json(serial), run_json(one))
@@ -123,24 +133,15 @@ TEST(ParallelScenario, UnshardableProtocolsThrowNamingTheProtocol) {
 }
 
 TEST(ParallelScenario, EveryProtocolIsClassifiedByTheEnvelope) {
-  // Exhaustive over the Protocol enum: every value either runs sharded or
-  // is rejected with std::invalid_argument — nothing may fall through to a
-  // crash or a silently-wrong sharded run. A new protocol must be added to
-  // exactly one of these two lists.
-  const Protocol kAll[] = {
-      Protocol::kExpressPass, Protocol::kExpressPassNaive, Protocol::kDctcp,
-      Protocol::kRcp,         Protocol::kHull,             Protocol::kDx,
-      Protocol::kCubic,       Protocol::kDcqcn,            Protocol::kTimely,
-      Protocol::kSird,        Protocol::kBfc,              Protocol::kIdeal,
-      Protocol::kBbr,
-  };
-  for (Protocol p : kAll) {
-    const bool shardable =
-        std::find(std::begin(kShardable), std::end(kShardable), p) !=
-        std::end(kShardable);
+  // Exhaustive over the protocol table: every row either runs sharded or is
+  // rejected with std::invalid_argument — nothing may fall through to a
+  // crash or a silently-wrong sharded run. A new shardable protocol must be
+  // added to kShardable.
+  for (const ProtocolInfo& row : protocol_table()) {
+    const Protocol p = row.protocol;
     ScenarioSpec spec = base_spec(p, 1, 2);
     ScenarioEngine engine;
-    if (shardable) {
+    if (expect_shardable(p)) {
       EXPECT_NO_THROW(engine.run(spec)) << protocol_name(p);
     } else {
       EXPECT_THROW(engine.run(spec), std::invalid_argument)

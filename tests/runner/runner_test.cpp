@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string_view>
+#include <utility>
+
 #include "net/topology_builders.hpp"
 #include "runner/flow_driver.hpp"
 #include "runner/protocols.hpp"
@@ -10,18 +14,27 @@ using namespace xpass;
 using runner::Protocol;
 using sim::Time;
 
-// Every enum value: the display name must parse back to the same value.
-constexpr Protocol kAllProtocols[] = {
-    Protocol::kExpressPass, Protocol::kExpressPassNaive, Protocol::kDctcp,
-    Protocol::kRcp,         Protocol::kHull,             Protocol::kDx,
-    Protocol::kCubic,       Protocol::kDcqcn,            Protocol::kTimely,
-    Protocol::kIdeal,
-};
-
 TEST(Protocols, NamesRoundTrip) {
-  for (Protocol p : kAllProtocols) {
-    const auto name = runner::protocol_name(p);
-    EXPECT_NE(name, "?");
+  // The display names are spec-JSON values, recorder golden file names and
+  // campaign cache-key inputs, so they are pinned here, not read back.
+  const std::pair<Protocol, std::string_view> want[] = {
+      {Protocol::kExpressPass, "ExpressPass"},
+      {Protocol::kExpressPassNaive, "ExpressPass-naive"},
+      {Protocol::kDctcp, "DCTCP"},
+      {Protocol::kRcp, "RCP"},
+      {Protocol::kHull, "HULL"},
+      {Protocol::kDx, "DX"},
+      {Protocol::kCubic, "Cubic"},
+      {Protocol::kBbr, "BBR"},
+      {Protocol::kDcqcn, "DCQCN"},
+      {Protocol::kTimely, "TIMELY"},
+      {Protocol::kSird, "SIRD"},
+      {Protocol::kBfc, "BFC"},
+      {Protocol::kIdeal, "Ideal"},
+  };
+  ASSERT_EQ(std::size(want), runner::protocol_table().size());
+  for (const auto& [p, name] : want) {
+    EXPECT_EQ(runner::protocol_name(p), name);
     auto parsed = runner::parse_protocol(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, p) << name;
@@ -40,14 +53,67 @@ TEST(Protocols, LowercaseCliNamesParse) {
       {"hull", Protocol::kHull},
       {"dx", Protocol::kDx},
       {"cubic", Protocol::kCubic},
+      {"bbr", Protocol::kBbr},
       {"dcqcn", Protocol::kDcqcn},
       {"timely", Protocol::kTimely},
+      {"sird", Protocol::kSird},
+      {"bfc", Protocol::kBfc},
       {"ideal", Protocol::kIdeal},
   };
+  ASSERT_EQ(std::size(cli), runner::protocol_table().size());
   for (const auto& [name, want] : cli) {
     auto parsed = runner::parse_protocol(name);
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, want) << name;
+    EXPECT_EQ(runner::protocol_info(want).alias, name);
+  }
+}
+
+// The table is indexed by enum value, and parse_protocol searches it: both
+// names of every row must lead back to that row.
+TEST(Protocols, TableRowsParseBackByBothNames) {
+  size_t i = 0;
+  for (const runner::ProtocolInfo& row : runner::protocol_table()) {
+    EXPECT_EQ(static_cast<size_t>(row.protocol), i++) << row.name;
+    EXPECT_EQ(&runner::protocol_info(row.protocol), &row) << row.name;
+    for (std::string_view name : {row.name, row.alias}) {
+      auto parsed = runner::parse_protocol(name);
+      ASSERT_TRUE(parsed.has_value()) << name;
+      EXPECT_EQ(*parsed, row.protocol) << name;
+    }
+  }
+  EXPECT_EQ(i, static_cast<size_t>(Protocol::kCount));
+}
+
+// The traits every layer branches on, pinned per protocol. The cross-traffic
+// slots must be exactly 1..n (the fuzz generator indexes its draw by them),
+// in the order that keeps the generator's spec stream unchanged.
+TEST(Protocols, TraitsMatrix) {
+  for (const runner::ProtocolInfo& row : runner::protocol_table()) {
+    const Protocol p = row.protocol;
+    const bool xp = p == Protocol::kExpressPass ||
+                    p == Protocol::kExpressPassNaive;
+    EXPECT_EQ(row.credit_scheduled, xp) << row.name;
+    EXPECT_EQ(runner::is_credit_scheduled(p), xp) << row.name;
+    int slot = 0;
+    switch (p) {
+      case Protocol::kCubic: slot = 1; break;
+      case Protocol::kDctcp: slot = 2; break;
+      case Protocol::kBbr: slot = 3; break;
+      case Protocol::kTimely: slot = 4; break;
+      case Protocol::kDx: slot = 5; break;
+      case Protocol::kRcp: slot = 6; break;
+      default: break;
+    }
+    EXPECT_EQ(row.cross_traffic_slot, slot) << row.name;
+    const bool unshardable =
+        p == Protocol::kDcqcn || p == Protocol::kTimely ||
+        p == Protocol::kSird || p == Protocol::kBfc || p == Protocol::kIdeal;
+    EXPECT_EQ(row.unshardable != nullptr, unshardable) << row.name;
+    const double share = p == Protocol::kExpressPass        ? 0.50
+                         : p == Protocol::kExpressPassNaive ? 0.08
+                                                            : 0.0;
+    EXPECT_EQ(row.fuzz_share, share) << row.name;
   }
 }
 
@@ -81,9 +147,11 @@ TEST(Protocols, LinkConfigSelectsMechanism) {
 }
 
 // The full per-protocol mechanism matrix: who gets ECN marking, who gets a
-// HULL phantom queue, who gets PFC, and who runs plain drop-tail.
+// HULL phantom queue, who gets PFC, who gets per-hop flow backpressure, and
+// who runs plain drop-tail.
 TEST(Protocols, LinkConfigMechanismMatrix) {
-  for (Protocol p : kAllProtocols) {
+  for (const runner::ProtocolInfo& row : runner::protocol_table()) {
+    const Protocol p = row.protocol;
     const auto cfg = runner::protocol_link_config(p, 10e9, Time::us(1));
     const bool wants_ecn = p == Protocol::kDctcp || p == Protocol::kDcqcn;
     const bool wants_phantom = p == Protocol::kHull;
@@ -93,6 +161,8 @@ TEST(Protocols, LinkConfigMechanismMatrix) {
     EXPECT_EQ(cfg.data_queue.phantom_drain_bps > 0, wants_phantom)
         << runner::protocol_name(p);
     EXPECT_EQ(cfg.pfc, wants_pfc) << runner::protocol_name(p);
+    EXPECT_EQ(cfg.hop_backpressure, p == Protocol::kBfc)
+        << runner::protocol_name(p);
     // Invariants every protocol shares: the link rate, the propagation
     // delay, and a drop-tail capacity scaled from the paper's 384.5KB.
     EXPECT_EQ(cfg.rate_bps, 10e9) << runner::protocol_name(p);

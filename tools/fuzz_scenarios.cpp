@@ -26,13 +26,14 @@
 
 namespace {
 
-constexpr const char* kUsage =
+const std::string kUsage =
     "usage: fuzz_scenarios [options]\n"
     "  --seed S            campaign seed (default 1)\n"
     "  --count N           scenarios to generate (default 50)\n"
     "  --out DIR           write failing repro JSON files here\n"
     "  --inject NAME       apply a hidden bug to every executed scenario\n"
-    "  --protocol NAME     restrict generation to one protocol\n"
+    "  --protocol NAME     restrict generation to one protocol:\n"
+    "                      " + xpass::runner::protocol_aliases("|") + "\n"
     "  --max-flows N       generator flow-count ceiling (default 16)\n"
     "  --mixed             force mixed-protocol coexistence scenarios\n"
     "  --no-faults         generate fault-free scenarios only\n"
@@ -136,10 +137,10 @@ int main(int argc, char** argv) {
   const auto protocol = args.str("protocol");
   const auto repro_path = args.str("repro");
   const bool expect_fail = args.flag("expect-fail");
-  args.die_on_error(kUsage);
+  args.die_on_error(kUsage.c_str());
   if (opts.resume && opts.journal.empty()) {
     std::fprintf(stderr, "fuzz_scenarios: --resume requires --journal\n%s",
-                 kUsage);
+                 kUsage.c_str());
     return 2;
   }
 
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
     const auto p = xpass::runner::parse_protocol(*protocol);
     if (!p) {
       std::fprintf(stderr, "fuzz_scenarios: unknown protocol %s\n%s",
-                   protocol->c_str(), kUsage);
+                   protocol->c_str(), kUsage.c_str());
       return 2;
     }
     opts.gen.protocol = *p;
@@ -170,7 +171,7 @@ int main(int argc, char** argv) {
     xpass::runner::ScenarioSpec probe;
     if (!xpass::check::apply_injection(opts.inject, probe)) {
       std::fprintf(stderr, "fuzz_scenarios: unknown injection %s\n%s",
-                   opts.inject.c_str(), kUsage);
+                   opts.inject.c_str(), kUsage.c_str());
       return 2;
     }
   }
@@ -178,7 +179,8 @@ int main(int argc, char** argv) {
     return run_repro(*repro_path, expect_fail, opts.verbose);
   }
   if (opts.count == 0) {
-    std::fprintf(stderr, "fuzz_scenarios: --count must be >= 1\n%s", kUsage);
+    std::fprintf(stderr, "fuzz_scenarios: --count must be >= 1\n%s",
+                 kUsage.c_str());
     return 2;
   }
 

@@ -87,10 +87,9 @@ struct Options {
   size_t retries = 0;
 };
 
-constexpr const char* kUsage =
+const std::string kUsage =
     "usage: xpass_sim [--topology=dumbbell|star|fattree|clos]\n"
-    "  [--protocol=expresspass|naive|dctcp|rcp|hull|dx|cubic|dcqcn|timely|\n"
-    "              sird|bfc|bbr]\n"
+    "  [--protocol=" + runner::protocol_aliases("|") + "]\n"
     "  [--workload=websearch|webserver|cachefollower|datamining]\n"
     "  [--pairs=N] [--k=N] [--flows=N] [--incast=N] [--bytes=N|long]\n"
     "  [--load=F] [--rate-gbps=F] [--duration-ms=F] [--seed=N]\n"
@@ -107,7 +106,7 @@ constexpr const char* kUsage =
 
 [[noreturn]] void usage(const char* msg) {
   std::fprintf(stderr, "error: %s\n", msg);
-  std::fputs(kUsage, stderr);
+  std::fputs(kUsage.c_str(), stderr);
   std::exit(2);
 }
 
@@ -166,7 +165,7 @@ Options parse(int argc, char** argv) {
   o.timeout_ms = args.timeout_ms();
   o.retries = args.retries();
   const bool help = args.flag("help");
-  args.die_on_error(kUsage);
+  args.die_on_error(kUsage.c_str());
   for (const std::string& p : args.positional()) {
     if (p == "-h") {
       usage("help requested");
