@@ -190,6 +190,40 @@ double bench_churn() {
   return static_cast<double>(g_ops) / (now_sec() - t0);
 }
 
+// The RTO pattern of the window transports: each of kRearmTimers
+// connections holds a 10 ms retransmission timer, and a 1 us tick (one ACK)
+// re-arms one of them round-robin — cancel the old timer, schedule the new
+// one. One op = one tick. A cancel that only disarms keeps every re-armed
+// timer's entry until its old deadline, ~10^4 ticks later; the slot-pool
+// queue frees a bucketed timer at cancel time, so its pool stays near the
+// kRearmTimers live timers. The peak lands in g_rearm_peak_slots.
+constexpr size_t kRearmTimers = 64;
+size_t g_rearm_peak_slots = 0;
+
+template <class Q>
+double bench_rearm() {
+  Q q;
+  using Id = decltype(q.schedule(Time::zero(), [] {}));
+  std::vector<Id> rto(kRearmTimers);
+  uint64_t sink = 0;
+  size_t ticks = 0;
+  std::function<void()> tick = [&] {
+    Id& id = rto[ticks % kRearmTimers];
+    q.cancel(id);
+    id = q.schedule(q.now() + Time::ms(10), [&sink] { ++sink; });
+    if (++ticks < g_ops) q.schedule(q.now() + Time::us(1), [&] { tick(); });
+  };
+  const double t0 = now_sec();
+  q.schedule(Time::us(1), [&] { tick(); });
+  while (ticks < g_ops && q.step()) {
+  }
+  const double dt = now_sec() - t0;
+  if constexpr (requires { q.pool_slots(); }) {
+    g_rearm_peak_slots = q.pool_slots();
+  }
+  return static_cast<double>(g_ops) / dt;
+}
+
 // ---- Fig-15 scenario events/sec and events/packet-hop --------------------
 
 struct ScenarioResult {
@@ -489,18 +523,21 @@ int main(int argc, char** argv) {
   const double sf = best_of_3(bench_schedule_fire<sim::EventQueue>);
   const double sc = best_of_3(bench_schedule_cancel<sim::EventQueue>);
   const double ch = best_of_3(bench_churn<sim::EventQueue>);
+  const double ra = best_of_3(bench_rearm<sim::EventQueue>);
+  const size_t ra_slots = g_rearm_peak_slots;
   std::printf("  slot-pool queue : schedule+fire %.2fM/s  schedule+cancel "
-              "%.2fM/s  churn %.2fM/s\n",
-              sf / 1e6, sc / 1e6, ch / 1e6);
+              "%.2fM/s  churn %.2fM/s  rearm %.2fM/s (peak %zu slots)\n",
+              sf / 1e6, sc / 1e6, ch / 1e6, ra / 1e6, ra_slots);
   const double seed_sf = best_of_3(bench_schedule_fire<SeedEventQueue>);
   const double seed_sc = best_of_3(bench_schedule_cancel<SeedEventQueue>);
   const double seed_ch = best_of_3(bench_churn<SeedEventQueue>);
+  const double seed_ra = best_of_3(bench_rearm<SeedEventQueue>);
   std::printf("  seed queue      : schedule+fire %.2fM/s  schedule+cancel "
-              "%.2fM/s  churn %.2fM/s\n",
-              seed_sf / 1e6, seed_sc / 1e6, seed_ch / 1e6);
+              "%.2fM/s  churn %.2fM/s  rearm %.2fM/s\n",
+              seed_sf / 1e6, seed_sc / 1e6, seed_ch / 1e6, seed_ra / 1e6);
   std::printf("  speedup         : schedule+fire %.2fx  schedule+cancel "
-              "%.2fx  churn %.2fx\n",
-              sf / seed_sf, sc / seed_sc, ch / seed_ch);
+              "%.2fx  churn %.2fx  rearm %.2fx\n",
+              sf / seed_sf, sc / seed_sc, ch / seed_ch, ra / seed_ra);
 
   std::printf("fig15 flow-scalability scenario (ExpressPass, dumbbell, "
               "best of %zu)...\n", g_scenario_repeats);
@@ -610,21 +647,26 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"bench\": \"core\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
   std::fprintf(f, "  \"config\": {\"ops_per_microbench\": %zu, "
-                  "\"batch\": %zu},\n", g_ops, kBatch);
+                  "\"batch\": %zu, \"rearm_timers\": %zu},\n",
+               g_ops, kBatch, kRearmTimers);
   std::fprintf(f, "  \"event_queue\": {\n");
   std::fprintf(f, "    \"schedule_fire_ops_per_sec\": %.0f,\n", sf);
   std::fprintf(f, "    \"schedule_cancel_ops_per_sec\": %.0f,\n", sc);
-  std::fprintf(f, "    \"churn_ops_per_sec\": %.0f\n", ch);
+  std::fprintf(f, "    \"churn_ops_per_sec\": %.0f,\n", ch);
+  std::fprintf(f, "    \"rearm_ops_per_sec\": %.0f,\n", ra);
+  std::fprintf(f, "    \"rearm_peak_pool_slots\": %zu\n", ra_slots);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"seed_baseline\": {\n");
   std::fprintf(f, "    \"schedule_fire_ops_per_sec\": %.0f,\n", seed_sf);
   std::fprintf(f, "    \"schedule_cancel_ops_per_sec\": %.0f,\n", seed_sc);
-  std::fprintf(f, "    \"churn_ops_per_sec\": %.0f\n", seed_ch);
+  std::fprintf(f, "    \"churn_ops_per_sec\": %.0f,\n", seed_ch);
+  std::fprintf(f, "    \"rearm_ops_per_sec\": %.0f\n", seed_ra);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"speedup_vs_seed\": {\n");
   std::fprintf(f, "    \"schedule_fire\": %.3f,\n", sf / seed_sf);
   std::fprintf(f, "    \"schedule_cancel\": %.3f,\n", sc / seed_sc);
-  std::fprintf(f, "    \"churn\": %.3f\n", ch / seed_ch);
+  std::fprintf(f, "    \"churn\": %.3f,\n", ch / seed_ch);
+  std::fprintf(f, "    \"rearm\": %.3f\n", ra / seed_ra);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fig15_scenario\": [\n");
   for (size_t i = 0; i < scen.size(); ++i) {

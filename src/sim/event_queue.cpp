@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -60,6 +61,7 @@ TimerId EventQueue::schedule(Time t, Callback cb) {
   const uint32_t idx = acquire_slot();
   Slot& s = slots_[idx];
   s.cb = std::move(cb);
+  s.node = TimingWheel::kNoNode;
   s.armed = true;
   const uint64_t key = (next_seq_++ << kSlotBits) | idx;
   // Deferred routing: the entry sits in the unsorted staging buffer until
@@ -84,9 +86,24 @@ void EventQueue::cancel(TimerId id) {
   s.cb.reset();  // release captured resources now, not at heap drain
   --live_count_;
   ++cancelled_;
-  // The slot itself is reclaimed when its heap entry surfaces — except for
-  // the common cancel-and-reschedule pattern, where the entry is often the
-  // current top and can be reclaimed right away.
+  // An entry linked in a wheel bucket is unlinked and freed, node and slot,
+  // right now: the RTO re-armed on every ACK would otherwise hold both until
+  // its old deadline came round. A node whose bucket has drained may since
+  // hold another entry; only this event's entry carries this slot index
+  // (a slot is reused only after its entry left every structure), so the
+  // key's slot bits tell the two apart.
+  if (s.node != TimingWheel::kNoNode) {
+    const std::optional<uint64_t> key = wheel_.linked_key(s.node);
+    if (key && (static_cast<uint32_t>(*key) & kSlotMask) == id.slot) {
+      wheel_.remove(s.node);
+      release_slot(id.slot);
+      return;
+    }
+  }
+  // Otherwise the slot is reclaimed when its entry surfaces: at flush if
+  // staged, as the ready run reaches it, or at the heap top — right away
+  // for the common cancel-and-reschedule pattern, where the entry is often
+  // the current top.
   skim_cancelled();
 }
 
@@ -180,18 +197,19 @@ bool EventQueue::step_until(Time t_end) {
 
 void EventQueue::flush_staging() {
   for (const Entry& e : staging_) {
-    if (!slots_[e.slot()].armed) {
+    Slot& s = slots_[e.slot()];
+    if (!s.armed) {
       // Cancelled while staged: reclaim without touching wheel or heap.
       release_slot(e.slot());
       continue;
     }
     if (backend_ == Backend::kHybrid) {
-      bool wheeled = wheel_.try_schedule(e.t, e.key);
+      bool wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
       if (!wheeled && wheel_.empty()) {
         // The wheel idled through a heap-only stretch and its span window
         // fell behind now(); re-anchor it and retry.
         wheel_.sync(now_);
-        wheeled = wheel_.try_schedule(e.t, e.key);
+        wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
       }
       if (wheeled) {
         ++wheel_scheduled_;

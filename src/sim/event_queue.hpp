@@ -24,8 +24,17 @@
 //    original kept cancelled ids in an unordered_set that was only cleaned
 //    when the id surfaced at the heap top, so cancelling an already-fired
 //    timer — which every completed connection does in stop() — left its id
-//    in the set forever. Here there is nothing to leak: the slot is
-//    reclaimed exactly when its heap entry pops, structurally.
+//    in the set forever. Here there is nothing to leak. Where the cancelled
+//    entry sits decides when its slot comes back:
+//      - linked in a timing-wheel bucket (the common case: an RTO re-armed
+//        on every ACK was flushed into an L2 bucket at an earlier step) —
+//        at once: the slot records its wheel node, and cancel() unlinks the
+//        node in O(1) and frees node and slot;
+//      - still staged — at the next flush;
+//      - in the wheel's ready run (one drained 8 ns bucket) — when the run
+//        reaches it;
+//      - in the heap (more than ~137 ms out) — when it reaches the top.
+//    So the pool tracks live events, not the cancellation history.
 //
 //  * The heap stores 16-byte {time, seq<<20|slot} entries in a 4-ary
 //    layout: shallower than binary (fewer cache misses per sift), and a
@@ -36,11 +45,13 @@
 //
 //  * Routing is deferred: schedule() appends to an unsorted staging buffer,
 //    and the wheel-vs-heap decision happens only when the queue is next
-//    stepped. An event cancelled while still staged — the RTO-reschedule
-//    and teardown pattern, where most timers never fire — is dropped at
-//    flush without ever paying a wheel insert or a heap sift. The deferral
-//    is trace-invisible: now() and the wheel cursor move only on fires, and
-//    staged entries always flush before the next fire.
+//    stepped. An event cancelled in the same step that scheduled it (a timer
+//    re-armed twice by one callback, or armed just before a teardown) is
+//    dropped at flush without ever paying a wheel insert or a heap sift.
+//    Timers cancelled at a later step — an RTO re-armed on the next ACK —
+//    were flushed long before, and take the wheel's O(1) remove() instead.
+//    The deferral is trace-invisible: now() and the wheel cursor move only
+//    on fires, and staged entries always flush before the next fire.
 //
 //  * Pop and push fuse: firing leaves a hole at the root, and the flush
 //    drops the fired callback's successor event (the dominant "hold"
@@ -97,6 +108,8 @@ class EventQueue {
   // determinism contract. Under XPASS_SANITIZE a past-time schedule aborts.
   TimerId schedule(Time t, Callback cb);
   // Cancels a pending event in O(1); no-op if already fired or cancelled.
+  // The event's pool slot is freed at once if its entry sits in a wheel
+  // bucket, and otherwise when the entry surfaces (see the file comment).
   void cancel(TimerId id);
 
   Time now() const { return now_; }
@@ -131,8 +144,11 @@ class EventQueue {
   uint64_t wheel_scheduled() const { return wheel_scheduled_; }
   uint64_t heap_scheduled() const { return heap_scheduled_; }
   size_t wheel_entries() const { return wheel_.pending(); }
-  // Total slots ever allocated: bounded by the max number of simultaneously
-  // scheduled events, regardless of how many were cancelled over time.
+  // Total slots ever allocated: the high-water mark of slots in use, where a
+  // slot is in use while its event is live, and after a cancel only while
+  // its entry is still staged, in the wheel's ready run or in the heap (a
+  // cancelled wheel-bucket entry frees its slot at once). So it stays near
+  // peak pending() however many timers were cancelled over time.
   size_t pool_slots() const { return slots_.size(); }
   size_t heap_entries() const {
     return heap_.size() + staging_.size() - (hole_ ? 1 : 0);
@@ -143,8 +159,13 @@ class EventQueue {
     Callback cb;
     uint32_t gen = 0;  // bumped on release; stale TimerIds stop matching
     uint32_t next_free = TimerId::kInvalidSlot;
+    // Wheel node the entry was linked at when flushed, or kNoNode (staged,
+    // heaped, or merged straight into the ready run). Goes stale once the
+    // bucket drains; cancel() checks it against the wheel before use.
+    uint32_t node = TimingWheel::kNoNode;
     bool armed = false;  // false = empty, cancelled, or already fired
   };
+  static_assert(sizeof(Slot) == 80, "the slot pool's footprint is per event");
   // Slot indices live in the low bits of the packed key; the pool is hard
   // capped at 2^20 concurrently pending events (enforced on pool growth).
   // The remaining 44 bits of sequence number cover ~1.7e13 scheduled events

@@ -27,10 +27,38 @@ uint32_t TimingWheel::acquire_node(Time t, uint64_t key) {
   return idx;
 }
 
+void TimingWheel::free_node(uint32_t node) {
+  nodes_[node].bucket = kNoNode;
+  nodes_[node].next = free_head_;
+  free_head_ = node;
+}
+
 void TimingWheel::link(uint32_t level, uint32_t slot, uint32_t node) {
-  nodes_[node].next = heads_[level][slot];
+  Node& n = nodes_[node];
+  const uint32_t head = heads_[level][slot];
+  n.next = head;
+  n.prev = kNil;
+  n.bucket = level * kSlots + slot;
+  if (head != kNil) nodes_[head].prev = node;
   heads_[level][slot] = node;
   bitmap_[level][slot >> 6] |= 1ull << (slot & 63);
+}
+
+void TimingWheel::remove(uint32_t node) {
+  Node& n = nodes_[node];
+  assert(n.bucket != kNoNode);
+  const uint32_t level = n.bucket / kSlots;
+  const uint32_t slot = n.bucket & kSlotMask;
+  if (n.prev != kNil) {
+    nodes_[n.prev].next = n.next;
+  } else {
+    heads_[level][slot] = n.next;
+    if (n.next == kNil) bitmap_[level][slot >> 6] &= ~(1ull << (slot & 63));
+  }
+  if (n.next != kNil) nodes_[n.next].prev = n.prev;
+  free_node(node);
+  --pending_;
+  --bucketed_;
 }
 
 void TimingWheel::place(uint32_t node) {
@@ -46,7 +74,7 @@ void TimingWheel::place(uint32_t node) {
   }
 }
 
-bool TimingWheel::try_schedule(Time t, uint64_t key) {
+bool TimingWheel::try_schedule(Time t, uint64_t key, uint32_t* node) {
   const uint64_t tick = tick_of(t);
   if (tick < cur_tick_) {
     // Already-drained bucket (a heap-side event fired earlier and scheduled
@@ -60,10 +88,13 @@ bool TimingWheel::try_schedule(Time t, uint64_t key) {
         e);
     ++pending_;
     ++accepted_;
+    if (node) *node = kNoNode;
     return true;
   }
   if (tick - cur_tick_ >= kSpanTicks) return false;
-  place(acquire_node(t, key));
+  const uint32_t idx = acquire_node(t, key);
+  place(idx);
+  if (node) *node = idx;
   ++pending_;
   ++bucketed_;
   ++accepted_;
@@ -125,8 +156,7 @@ bool TimingWheel::advance_and_drain() {
     while (node != kNil) {
       ready_.push_back(Entry{nodes_[node].t, nodes_[node].key});
       const uint32_t next = nodes_[node].next;
-      nodes_[node].next = free_head_;
-      free_head_ = node;
+      free_node(node);
       node = next;
       --bucketed_;
     }
@@ -135,6 +165,14 @@ bool TimingWheel::advance_and_drain() {
     return true;
   }
   return false;
+}
+
+size_t TimingWheel::occupied_buckets() const {
+  size_t n = 0;
+  for (const auto& level : bitmap_) {
+    for (const uint64_t word : level) n += std::popcount(word);
+  }
+  return n;
 }
 
 void TimingWheel::sync(Time now) {

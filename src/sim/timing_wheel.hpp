@@ -29,10 +29,19 @@
 // without ever rewinding the wheel.
 //
 // Nodes live in a recycled pool with an intrusive freelist; steady-state
-// operation allocates nothing.
+// operation allocates nothing. Each bucket is a doubly linked list: a node
+// records its bucket (level * 256 + slot) and both neighbours, so remove()
+// unlinks any bucketed entry in O(1) — the head, the middle or the tail —
+// clears the bucket's occupancy bit when it empties, and frees the node at
+// once. This is what lets EventQueue::cancel() give back a timer that sits
+// in a bucket (an RTO re-armed on every ACK) instead of carrying it until its
+// old deadline comes round. An entry already drained into the ready run has
+// left its node (which may since hold another entry) and cannot be removed;
+// the owning queue skips it when it surfaces.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -59,7 +68,24 @@ class TimingWheel {
   // returns false for far-future events (the caller's heap handles those).
   // `t` may be at or before the drained boundary (see file comment); it
   // must not be before the owning queue's now().
-  bool try_schedule(Time t, uint64_t key);
+  // When `node` is given, it receives the bucket node now holding the entry,
+  // or kNoNode if the entry went straight into the ready run.
+  bool try_schedule(Time t, uint64_t key, uint32_t* node = nullptr);
+
+  static constexpr uint32_t kNoNode = 0xffffffffu;
+  // Key of the entry linked at `node`, or nullopt if the node is free: its
+  // entry was drained into the ready run or removed. Free nodes are
+  // recycled, so a handle kept past a drain may name a later entry; callers
+  // match the key before they remove().
+  std::optional<uint64_t> linked_key(uint32_t node) const {
+    if (node >= nodes_.size() || nodes_[node].bucket == kNoNode) {
+      return std::nullopt;
+    }
+    return nodes_[node].key;
+  }
+  // Unlinks the entry at a linked `node` from its bucket and frees the node,
+  // in O(1). The entry never comes out of peek().
+  void remove(uint32_t node);
 
   // Earliest pending entry, or nullptr if the wheel is empty. Advances the
   // cursor and drains buckets as needed (mutating, amortized O(1)).
@@ -78,14 +104,18 @@ class TimingWheel {
   // Introspection for tests and benchmarks.
   uint64_t accepted() const { return accepted_; }
   size_t node_pool_size() const { return nodes_.size(); }
+  // Buckets whose occupancy bit is set, over all levels.
+  size_t occupied_buckets() const;
 
  private:
   struct Node {
     Time t;
     uint64_t key;
-    uint32_t next;
+    uint32_t next;    // towards the bucket's tail; freelist link when free
+    uint32_t prev;    // towards the bucket's head; kNil at the head
+    uint32_t bucket;  // level * kSlots + slot; kNoNode while free
   };
-  static constexpr uint32_t kNil = 0xffffffffu;
+  static constexpr uint32_t kNil = kNoNode;
   static constexpr uint32_t kSlotMask = kSlots - 1;
   static constexpr size_t kWords = kSlots / 64;
 
@@ -98,6 +128,7 @@ class TimingWheel {
   }
 
   uint32_t acquire_node(Time t, uint64_t key);
+  void free_node(uint32_t node);
   void link(uint32_t level, uint32_t slot, uint32_t node);
   // Re-buckets every node of an upper-level slot after a window crossing.
   void cascade(uint32_t level, uint32_t slot);

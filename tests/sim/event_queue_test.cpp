@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -135,6 +136,61 @@ TEST(EventQueue, CancelAfterFireRetainsNoPerTimerState) {
   // matter how many cancel-after-fire calls were made.
   EXPECT_EQ(q.pool_slots(), 1u);
   EXPECT_EQ(q.heap_entries(), 0u);
+}
+
+// The window transports' RTO pattern: every 1 us tick (an ACK) cancels the
+// connection's 10 ms retransmission timer and arms a new one. The cancelled
+// timer was flushed into a wheel bucket at an earlier step, so cancel()
+// frees its slot at once and the pool holds only the live events. A cancel
+// that merely disarmed would keep each timer's slot until its old deadline,
+// 10^4 ticks later.
+TEST(EventQueue, RearmedTimerFreesItsSlotAtCancel) {
+  EventQueue q;
+  constexpr int kTicks = 100'000;
+  TimerId rto;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    q.cancel(rto);
+    rto = q.schedule(q.now() + Time::ms(10), [] { FAIL() << "RTO fired"; });
+    if (++ticks < kTicks) q.schedule(q.now() + Time::us(1), [&] { tick(); });
+  };
+  q.schedule(Time::us(1), [&] { tick(); });
+  while (ticks < kTicks && q.step()) {
+  }
+  EXPECT_EQ(ticks, kTicks);
+  EXPECT_EQ(q.cancelled(), static_cast<uint64_t>(kTicks - 1));
+  EXPECT_EQ(q.pending(), 1u);
+  // pool_slots() is the high-water mark: the tick, its successor and one
+  // RTO, never the cancelled timers.
+  EXPECT_LE(q.pool_slots(), 4u);
+}
+
+// A handle whose entry already left its bucket for the ready run takes the
+// lazy path — even when the wheel node it was linked at has since been
+// recycled for another entry, which must survive.
+TEST(EventQueue, CancelAfterDrainSparesTheNodesNextEntry) {
+  EventQueue q;
+  bool b_fired = false;
+  bool c_fired = false;
+  // B is scheduled (and linked) first, A second but earlier, in the same
+  // 8 ns bucket: draining frees A's node, then B's, so B's node is the
+  // next one handed out.
+  const TimerId b =
+      q.schedule(Time::ns(10) + Time::ps(1), [&] { b_fired = true; });
+  q.schedule(Time::ns(10), [&] {
+    q.schedule(q.now() + Time::us(1), [&] { c_fired = true; });
+  });
+  ASSERT_TRUE(q.step());  // fires A; B waits in the ready run
+  ASSERT_EQ(q.next_time(), Time::ns(10) + Time::ps(1));  // flushes C
+  q.cancel(b);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_FALSE(b_fired);
+  EXPECT_TRUE(c_fired);
+  EXPECT_EQ(q.fired(), 2u);
+  EXPECT_EQ(q.cancelled(), 1u);
+  q.cancel(b);  // stale: a no-op
+  EXPECT_EQ(q.cancelled(), 1u);
 }
 
 TEST(EventQueue, PendingStaysExactAcrossScheduleCancelChurn) {

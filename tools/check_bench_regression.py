@@ -14,6 +14,12 @@ itself got slower relative to its fixed reference, not that the runner was
 slow. The fresh run may use --ops far below the committed default; the ratio
 is noisier there, which is why the gate is 20% and only two metrics.
 
+It also gates one count from the fresh BENCH_core.json, which holds on any
+hardware: event_queue.rearm_peak_pool_slots <= 2 * config.rearm_timers. The
+rearm microbench re-arms one of rearm_timers 10 ms timers every 1 us tick
+(the window transports' RTO-per-ACK pattern); a cancel that kept the
+re-armed timer's pool slot until its old deadline would peak near 10^4.
+
 With --hotpath, also gates the hot-path invariants from a fresh
 BENCH_hotpath.json. These are count-based, not timing-based, so they hold
 exactly on any hardware:
@@ -64,6 +70,14 @@ def main() -> int:
               f"fresh {now:.3f} ({ratio:.2%} of committed) {status}")
         if status != "OK":
             failures.append(metric)
+
+    timers = fresh["config"]["rearm_timers"]
+    slots = fresh["event_queue"]["rearm_peak_pool_slots"]
+    ok = slots <= 2 * timers
+    print(f"rearm          peak_pool_slots: {slots} with {timers} timers "
+          f"{'OK' if ok else f'REGRESSION (> {2 * timers})'}")
+    if not ok:
+        failures.append("rearm.peak_pool_slots")
 
     if args.hotpath:
         with open(args.hotpath) as f:
