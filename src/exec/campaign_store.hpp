@@ -44,7 +44,7 @@ namespace xpass::exec {
 // Folded into every cache key. Bump when a code change alters the recorder
 // payload produced for an unchanged spec (new scalar, changed semantics,
 // schema rev) so prior entries miss instead of serving stale bytes.
-inline constexpr std::string_view kCodeVersion = "xpass-v7";
+inline constexpr std::string_view kCodeVersion = "xpass-v8";
 
 class CampaignStore {
  public:

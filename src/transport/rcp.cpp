@@ -9,10 +9,14 @@ using net::PktType;
 
 void RcpConnection::begin_sending() {
   exit_slow_start();
+  // A second call is an RTO retry: the probe or its SYN-ACK was lost.
+  if (probe_sent_) back_off_rto();
+  probe_sent_ = true;
   Packet syn = net::make_control(PktType::kSyn, spec().id, spec().src->id(),
                                  spec().dst->id());
   syn.ts = sim_.now();
   spec().src->send(std::move(syn));
+  arm_rto();
 }
 
 void RcpConnection::on_packet(Packet&& p) {
@@ -26,8 +30,10 @@ void RcpConnection::on_packet(Packet&& p) {
     return;
   }
   if (p.type == PktType::kSynAck) {
+    // A duplicate SYN-ACK (answering a resent probe) only adopts the rate.
+    const bool first = awaiting_synack();
     adopt_rate(p.rcp_rate_bps);
-    WindowConnection::begin_sending();
+    if (first) WindowConnection::begin_sending();
     return;
   }
   WindowConnection::on_packet(std::move(p));

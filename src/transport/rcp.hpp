@@ -36,12 +36,16 @@ class RcpConnection : public WindowConnection {
   void on_packet(net::Packet&& p) override;
   void on_ack_hook(const net::Packet& ack, uint64_t newly_acked) override;
   double pace_rate_bps() const override { return rate_bps_; }
+  // No data before the first SYN-ACK: with no rate, the pacing gap would be
+  // infinite. Until then every RTO resends the probe, with backoff.
+  bool awaiting_synack() const override { return rate_bps_ == 0.0; }
 
  private:
   void adopt_rate(double bps);
 
   RcpConfig cfg_;
-  double rate_bps_ = 0.0;
+  double rate_bps_ = 0.0;  // 0 until the first SYN-ACK brings a rate
+  bool probe_sent_ = false;
 };
 
 class RcpTransport : public Transport {

@@ -143,7 +143,7 @@ double WindowConnection::pace_rate_bps() const {
 
 void WindowConnection::pump() {
   if (sender_done_) return;
-  if (cfg_.handshake && !handshake_done_) return;
+  if (awaiting_synack()) return;
   while (!send_scheduled_) {
     const uint64_t limit =
         snd_una_ + static_cast<uint64_t>(std::max(1.0, cwnd_));
@@ -187,7 +187,7 @@ void WindowConnection::arm_rto() {
 }
 
 void WindowConnection::on_rto() {
-  if (cfg_.handshake && !handshake_done_) {
+  if (awaiting_synack()) {
     begin_sending();  // SYN (or the SYN-ACK) was lost: retry
     return;
   }
@@ -201,12 +201,16 @@ void WindowConnection::on_rto() {
   }
   ++timeouts_;
   ++retransmits_;
-  if (rto_backoff_ < 10) ++rto_backoff_;
+  back_off_rto();
   snd_nxt_ = snd_una_;
   dup_acks_ = 0;
   on_loss_event(/*timeout=*/true);
   arm_rto();
   pump();
+}
+
+void WindowConnection::back_off_rto() {
+  if (rto_backoff_ < 10) ++rto_backoff_;
 }
 
 void WindowConnection::on_loss_event(bool timeout) {

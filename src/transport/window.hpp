@@ -55,8 +55,15 @@ class WindowConnection : public Connection {
   virtual void begin_sending();
   // Pacing rate when cfg.pacing is set; default cwnd/srtt.
   virtual double pace_rate_bps() const;
+  // True while data must wait for a SYN-ACK: pump() sends nothing, and an
+  // RTO calls begin_sending() again to resend the lost SYN. Default: the
+  // TCP handshake, when cfg.handshake is set. RCP waits for its rate probe.
+  virtual bool awaiting_synack() const {
+    return cfg_.handshake && !handshake_done_;
+  }
   void pump();  // send while window (and pacer) allow
   void arm_rto();
+  void back_off_rto();  // doubles the next RTO, up to 2^10 times
 
   void set_cwnd(double w);
   double min_cwnd() const { return cfg_.min_cwnd_pkts; }

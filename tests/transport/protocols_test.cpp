@@ -154,6 +154,32 @@ TEST(Rcp, TwoFlowsShareExplicitRate) {
   driver.stop_all();
 }
 
+// RCP's rate probe (its SYN) and the SYN-ACK carrying the rate are ordinary
+// frames and can be lost. The sender resends the probe on its RTO, backing
+// off, and sends no data until a rate arrives.
+TEST(Rcp, ResendsALostRateProbe) {
+  for (const bool lose_synack : {false, true}) {
+    Env env(runner::Protocol::kRcp);
+    // Drop every non-credit frame on one direction of the path for 35 ms:
+    // the probes at 0, 10 and 30 ms (10 ms RTO, doubled per retry) are
+    // lost, or their SYN-ACKs are; the fourth, at 70 ms, gets through.
+    net::Port& nic = lose_synack ? env.d.receivers[0]->nic()
+                                 : env.d.senders[0]->nic();
+    net::LinkErrorConfig lossy;
+    lossy.data_drop = 1.0;
+    nic.set_error_model(lossy, 7);
+    env.sim.at(Time::ms(35), [&nic] { nic.clear_error_model(); });
+    auto driver = env.make_driver();
+    driver.add(env.spec(1, 1'000'000));
+    ASSERT_TRUE(driver.run_to_completion(Time::sec(1)))
+        << (lose_synack ? "SYN-ACK" : "SYN") << " loss stalled the flow";
+    const double fct = driver.fcts().all().max();
+    EXPECT_GT(fct, 0.070);  // waited out 10 + 20 + 40 ms of backoff
+    EXPECT_LT(fct, 0.080);
+    EXPECT_EQ(nic.fault_stats().injected_data_drops, 3u);
+  }
+}
+
 // --- Ideal oracle --------------------------------------------------------
 
 TEST(Ideal, AssignsMaxMinRatesInstantly) {
