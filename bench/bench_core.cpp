@@ -5,10 +5,12 @@
 // the results as BENCH_core.json (schema documented in EXPERIMENTS.md).
 //
 // It also emits BENCH_hotpath.json: per-packet-hop event accounting for the
-// fig15 scenario in both port event modes (legacy tx-done events vs the
-// coalesced self-scheduling port), the comparison against the committed
-// baseline throughput, and the 12-point scalability sweep timed at
-// --jobs 1 vs --jobs N with a byte-identity check on the reduced rows.
+// fig15 scenario, the comparison against the committed baseline throughput,
+// and the 12-point scalability sweep timed at --jobs 1 vs --jobs N with a
+// byte-identity check on the reduced rows.
+//
+// Both files carry a "host" object (cores, cgroup CPU quota, compiler):
+// absolute rates move about 2x between hosts.
 //
 // This seeds the repo's perf trajectory: later PRs compare their committed
 // BENCH_core.json against this one. Usage:
@@ -25,6 +27,8 @@
 #include <cstring>
 #include <functional>
 #include <queue>
+#include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -241,21 +245,15 @@ struct ScenarioResult {
   double goodput_gbps;
 };
 
-// `legacy` selects the pre-coalescing port event pattern (a serializer-done
-// event per transmission) so the event diet is measurable in-binary on the
-// identical trajectory; the two modes deliver the same packets at the same
-// times. `backend` selects the event-queue backend (hybrid timing wheel vs
+// `backend` selects the event-queue backend (hybrid timing wheel vs
 // heap-only) for the in-binary wheel comparison — the two must fire the
 // identical event sequence.
-ScenarioResult bench_fig15(size_t n_flows, bool legacy,
-                           sim::EventQueue::Backend backend =
-                               sim::EventQueue::Backend::kHybrid) {
+ScenarioResult bench_fig15(size_t n_flows, sim::EventQueue::Backend backend) {
   const double t0 = now_sec();
   sim::Simulator sim(29, backend);
   net::Topology topo(sim);
   auto link = runner::protocol_link_config(
       runner::Protocol::kExpressPass, 10e9, Time::us(1));
-  link.legacy_tx_events = legacy;
   auto d = net::build_dumbbell(topo, n_flows, link, link);
   auto t = runner::make_transport(runner::Protocol::kExpressPass, sim, topo,
                                   Time::us(100));
@@ -483,6 +481,34 @@ constexpr double kBaselineEps256 = 7095552.0;
 constexpr uint64_t kBaselineEvents64 = 1369573;
 constexpr uint64_t kBaselineEvents256 = 5069478;
 
+// The "host" object both JSONs carry: logical cores, the cgroup CPU quota
+// (v2 cpu.max, else v1 cfs_quota_us; "absent" if neither), and the compiler.
+std::string host_json() {
+  std::string quota = "absent";
+  for (const char* path : {"/sys/fs/cgroup/cpu.max",
+                           "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"}) {
+    if (FILE* q = std::fopen(path, "r")) {
+      char buf[64] = {};
+      if (std::fgets(buf, sizeof buf, q) != nullptr) {
+        quota = buf;
+        quota.erase(quota.find_last_not_of(" \n") + 1);
+      }
+      std::fclose(q);
+      break;
+    }
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  return "{\"cores\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_max\": \"" + quota + "\", \"compiler\": \"" + compiler +
+         "\"}";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -544,41 +570,23 @@ int main(int argc, char** argv) {
   // The scenario is deterministic — every repeat fires the identical event
   // sequence — so best-of-N only filters scheduler noise out of wall_sec,
   // exactly as for the microbenches above.
-  const auto best_fig15 = [](size_t flows, bool legacy_mode) {
-    ScenarioResult best = bench_fig15(flows, legacy_mode);
+  const auto best_fig15 = [](size_t flows, sim::EventQueue::Backend b) {
+    ScenarioResult best = bench_fig15(flows, b);
     for (size_t i = 1; i < g_scenario_repeats; ++i) {
-      ScenarioResult r = bench_fig15(flows, legacy_mode);
+      ScenarioResult r = bench_fig15(flows, b);
       if (r.wall_sec < best.wall_sec) best = r;
     }
     return best;
   };
-  const auto best_fig15_backend = [](size_t flows,
-                                     sim::EventQueue::Backend b) {
-    ScenarioResult best = bench_fig15(flows, false, b);
-    for (size_t i = 1; i < g_scenario_repeats; ++i) {
-      ScenarioResult r = bench_fig15(flows, false, b);
-      if (r.wall_sec < best.wall_sec) best = r;
-    }
-    return best;
-  };
-  std::vector<ScenarioResult> scen;     // coalesced ports (default)
-  std::vector<ScenarioResult> legacy;   // pre-diet tx-done event pattern
+  std::vector<ScenarioResult> scen;
   for (size_t flows : {64, 256}) {
-    scen.push_back(best_fig15(flows, /*legacy=*/false));
-    legacy.push_back(best_fig15(flows, /*legacy=*/true));
+    scen.push_back(best_fig15(flows, sim::EventQueue::Backend::kHybrid));
     const ScenarioResult& r = scen.back();
-    const ScenarioResult& l = legacy.back();
     std::printf("  %4zu flows: %llu events in %.2fs -> %.2fM events/s, "
                 "%.2f ev/hop (goodput %.2fG)\n",
                 r.flows, static_cast<unsigned long long>(r.events_fired),
                 r.wall_sec, r.events_per_sec / 1e6, r.events_per_hop,
                 r.goodput_gbps);
-    std::printf("       legacy: %llu events in %.2fs -> %.2fM events/s, "
-                "%.2f ev/hop (%.1f%% fewer events coalesced)\n",
-                static_cast<unsigned long long>(l.events_fired), l.wall_sec,
-                l.events_per_sec / 1e6, l.events_per_hop,
-                100.0 * (1.0 - static_cast<double>(r.events_fired) /
-                                   static_cast<double>(l.events_fired)));
     std::printf("       breakdown: %llu kicks, %llu shaper retries, "
                 "%.1f%% wheel-routed, %llu hot-path allocs\n",
                 static_cast<unsigned long long>(r.kick_events),
@@ -592,8 +600,8 @@ int main(int argc, char** argv) {
   // event sequence as the heap-only backend (the wheel is a pure scheduling
   // structure swap), and not be slower.
   std::printf("wheel-vs-heap backend comparison (fig15, 64 flows)...\n");
-  const ScenarioResult heap_only = best_fig15_backend(
-      64, sim::EventQueue::Backend::kHeapOnly);
+  const ScenarioResult heap_only =
+      best_fig15(64, sim::EventQueue::Backend::kHeapOnly);
   const bool wheel_identical =
       heap_only.events_fired == scen[0].events_fired &&
       heap_only.packet_hops == scen[0].packet_hops &&
@@ -638,6 +646,7 @@ int main(int argc, char** argv) {
                 sweep.identical_output ? "byte-identical" : "DIVERGED");
   }
 
+  const std::string host = host_json();
   FILE* f = std::fopen(core_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", core_path);
@@ -646,6 +655,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"core\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"host\": %s,\n", host.c_str());
   std::fprintf(f, "  \"config\": {\"ops_per_microbench\": %zu, "
                   "\"batch\": %zu, \"rearm_timers\": %zu},\n",
                g_ops, kBatch, kRearmTimers);
@@ -695,14 +705,9 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", core_path);
 
   // ---- BENCH_hotpath.json ------------------------------------------------
-  // Two speedup figures against the committed baseline, reported side by
-  // side because the event diet changes what "an event" means:
-  //  - raw = events_per_sec / baseline_eps. Understates the win: the diet
-  //    deleted the *cheapest* events (tx-done), so surviving events are
-  //    heavier on average.
-  //  - work_normalized = (legacy-pattern event count / new wall) /
-  //    baseline_eps. Holds the workload definition fixed at the pre-diet
-  //    event pattern, so it measures wall-clock progress on the same work.
+  // raw_speedup_vs_baseline = events_per_sec / baseline_eps. It understates
+  // progress on the same work: the event diet deleted the *cheapest* events
+  // (tx-done), so surviving events are heavier on average.
   FILE* h = std::fopen(hotpath_path, "w");
   if (h == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", hotpath_path);
@@ -710,13 +715,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(h, "{\n");
   std::fprintf(h, "  \"bench\": \"hotpath\",\n");
-  std::fprintf(h, "  \"schema_version\": 2,\n");
+  std::fprintf(h, "  \"schema_version\": 3,\n");
+  std::fprintf(h, "  \"host\": %s,\n", host.c_str());
   std::fprintf(h, "  \"alloc_probe_enabled\": %s,\n",
                bench::AllocProbe::enabled() ? "true" : "false");
   std::fprintf(h, "  \"fig15\": [\n");
   for (size_t i = 0; i < scen.size(); ++i) {
     const ScenarioResult& r = scen[i];
-    const ScenarioResult& l = legacy[i];
     const double baseline_eps = r.flows == 64 ? kBaselineEps64
                                               : kBaselineEps256;
     const uint64_t baseline_events =
@@ -741,23 +746,12 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(r.heap_events));
     std::fprintf(h, "      \"hot_path_allocs\": %llu,\n",
                  static_cast<unsigned long long>(r.hot_path_allocs));
-    std::fprintf(h, "      \"legacy\": {\"events_fired\": %llu, "
-                    "\"wall_sec\": %.3f, \"events_per_sec\": %.0f, "
-                    "\"events_per_hop\": %.3f},\n",
-                 static_cast<unsigned long long>(l.events_fired), l.wall_sec,
-                 l.events_per_sec, l.events_per_hop);
-    std::fprintf(h, "      \"event_reduction_vs_legacy\": %.3f,\n",
-                 1.0 - static_cast<double>(r.events_fired) /
-                           static_cast<double>(l.events_fired));
     std::fprintf(h, "      \"committed_baseline\": {\"events_fired\": %llu, "
                     "\"events_per_sec\": %.0f},\n",
                  static_cast<unsigned long long>(baseline_events),
                  baseline_eps);
-    std::fprintf(h, "      \"raw_speedup_vs_baseline\": %.3f,\n",
+    std::fprintf(h, "      \"raw_speedup_vs_baseline\": %.3f\n",
                  r.events_per_sec / baseline_eps);
-    std::fprintf(h, "      \"work_normalized_speedup_vs_baseline\": %.3f\n",
-                 (static_cast<double>(l.events_fired) / r.wall_sec) /
-                     baseline_eps);
     std::fprintf(h, "    }%s\n", i + 1 < scen.size() ? "," : "");
   }
   std::fprintf(h, "  ],\n");

@@ -217,8 +217,7 @@ void Port::try_transmit() {
   const sim::Time now = sim_->now();
   if (now < free_at_) {
     // Serializer busy. Every caller that can add work lands here; arm the
-    // wakeup at serializer-free time once (the legacy path armed it
-    // unconditionally at transmission start).
+    // wakeup at serializer-free time once.
     if (work_queued()) schedule_kick();
     return;
   }
@@ -315,15 +314,15 @@ void Port::try_transmit() {
                                        PacketRef(std::move(c))});
       }
     }
-    if (cfg_.legacy_tx_events || work_queued()) schedule_kick();
+    if (work_queued()) schedule_kick();
     schedule_train_drain();
     return;
   }
   // One event per transmission: the delivery at tx+prop. A serializer-done
   // kick is added only when something is already waiting to be served then
-  // (scheduled before the delivery, preserving the legacy event order for
-  // same-timestamp ties).
-  if (cfg_.legacy_tx_events || work_queued()) schedule_kick();
+  // (scheduled before the delivery, so same-timestamp ties keep the order
+  // of a per-transmission tx-done event).
+  if (work_queued()) schedule_kick();
   if (remote_peer()) {
     // The peer lives in another shard: hand the delivery to the barrier's
     // cross-shard channel at the identical arrival instant. The packet

@@ -131,13 +131,6 @@ struct LinkConfig {
   // Incompatible with train_window (the train FIFO assumes monotonic
   // arrivals) — the Port constructor rejects the combination.
   sim::Time prop_jitter = sim::Time::zero();
-  // Pre-coalescing event pattern: schedule a serializer-done wakeup for
-  // every transmission, even when nothing is waiting to follow it. The
-  // default self-scheduling path skips that event whenever the port's
-  // queues are empty at transmission start (the common case off the
-  // bottleneck), halving the event count on those hops. Kept as an option
-  // so tests can prove the two paths produce identical traces.
-  bool legacy_tx_events = false;
 };
 
 // Per-port RCP state (enabled only for RCP runs). Implements the classic
@@ -321,8 +314,7 @@ class Port {
   // Serializer state machine: the port is busy until free_at_. Instead of
   // an unconditional tx-done event per transmission, a single delivery
   // event is scheduled at tx+prop, and a service "kick" at free_at_ only
-  // when queued work will actually be waiting there (self-scheduling; see
-  // LinkConfig::legacy_tx_events).
+  // when queued work will actually be waiting there (self-scheduling).
   sim::Time free_at_;
   // Train mode: frames on the wire awaiting the coalesced drain event. Each
   // entry records its true wire-arrival instant; the drain only delivers

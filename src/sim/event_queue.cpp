@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -63,18 +62,25 @@ TimerId EventQueue::schedule(Time t, Callback cb) {
   s.cb = std::move(cb);
   s.node = TimingWheel::kNoNode;
   s.armed = true;
-  const uint64_t key = (next_seq_++ << kSlotBits) | idx;
-  // Deferred routing: the entry sits in the unsorted staging buffer until
-  // the queue is next stepped, and only then picks wheel vs heap. An event
-  // cancelled before that (teardown, RTO reschedule) is dropped at flush
-  // without ever paying a wheel insert or a heap sift. Routing at flush
-  // time is trace-identical to routing at schedule time: now() and the
-  // wheel's tick cursor advance only when an event fires, and every staged
-  // entry is flushed before the next fire, so the wheel sees the same
-  // acceptance window either way — and fire order is the (t, seq) minimum
-  // across both structures regardless of where an entry landed.
-  staging_.push_back(Entry{t, key});
+  const Entry e{t, (next_seq_++ << kSlotBits) | idx};
   ++live_count_;
+  // Near-future events go to the wheel, the rest to the heap. Fire order is
+  // the (t, seq) minimum across both, whichever one an entry landed in.
+  if (backend_ == Backend::kHybrid) {
+    bool wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
+    if (!wheeled && wheel_.empty()) {
+      // The wheel idled through a heap-only stretch and its span window
+      // fell behind now(); re-anchor it and retry.
+      wheel_.sync(now_);
+      wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
+    }
+    if (wheeled) {
+      ++wheel_scheduled_;
+      return TimerId{idx, s.gen};
+    }
+  }
+  ++heap_scheduled_;
+  heap_push(e);
   return TimerId{idx, s.gen};
 }
 
@@ -100,25 +106,42 @@ void EventQueue::cancel(TimerId id) {
       return;
     }
   }
-  // Otherwise the slot is reclaimed when its entry surfaces: at flush if
-  // staged, as the ready run reaches it, or at the heap top — right away
-  // for the common cancel-and-reschedule pattern, where the entry is often
-  // the current top.
+  // Otherwise the slot is reclaimed when its entry surfaces: as the ready
+  // run reaches it, or at the heap top — right away for the common
+  // cancel-and-reschedule pattern, where the entry is often the current top.
   skim_cancelled();
 }
 
-void EventQueue::fire_top() {
-  // Pop-push fusion: firing leaves a hole at the root instead of eagerly
-  // re-heapifying. The fired callback almost always schedules a successor
-  // event (the simulation's "hold" pattern), and the successor is usually
-  // near-future — the next flush drops it straight into the hole, where its
-  // sift_down terminates after a level or two. The eager alternative pays a
-  // full-depth sift_down (moving the far-future *last* element down from
-  // the root) plus a full-depth sift_up for the new event, every event.
-  const Entry e = heap_[0];
-  hole_ = true;
-  Slot& s = slots_[e.slot()];
-  Callback cb = std::move(s.cb);
+const TimingWheel::Entry* EventQueue::next_wheel() {
+  const TimingWheel::Entry* w;
+  while ((w = wheel_.peek()) != nullptr &&
+         !slots_[static_cast<uint32_t>(w->key) & kSlotMask].armed) {
+    // Cancelled while in the ready run: reclaim the pool slot as the entry
+    // surfaces (the wheel-side analogue of skim_cancelled).
+    release_slot(static_cast<uint32_t>(wheel_.pop().key) & kSlotMask);
+  }
+  return w;
+}
+
+bool EventQueue::next(Time& t, bool& from_heap) {
+  skim_cancelled();
+  const TimingWheel::Entry* w = next_wheel();
+  const bool heap_has = !heap_.empty();
+  if (!w && !heap_has) return false;
+  from_heap = !w || (heap_has && earlier(heap_[0], Entry{w->t, w->key}));
+  t = from_heap ? heap_[0].t : w->t;
+  return true;
+}
+
+void EventQueue::fire(bool from_heap) {
+  Entry e{};
+  if (from_heap) {
+    e = heap_pop();
+  } else {
+    const TimingWheel::Entry w = wheel_.pop();
+    e = Entry{w.t, w.key};
+  }
+  Callback cb = std::move(slots_[e.slot()].cb);
   release_slot(e.slot());
   now_ = e.t;
   --live_count_;
@@ -128,144 +151,36 @@ void EventQueue::fire_top() {
   cb();
 }
 
-const TimingWheel::Entry* EventQueue::next_wheel() {
-  const TimingWheel::Entry* w;
-  while ((w = wheel_.peek()) != nullptr &&
-         !slots_[static_cast<uint32_t>(w->key) & kSlotMask].armed) {
-    // Cancelled while bucketed: reclaim the pool slot as the entry surfaces
-    // (the wheel-side analogue of skim_cancelled).
-    release_slot(static_cast<uint32_t>(wheel_.pop().key) & kSlotMask);
-  }
-  return w;
-}
-
-void EventQueue::fire_wheel() {
-  const TimingWheel::Entry e = wheel_.pop();
-  const uint32_t idx = static_cast<uint32_t>(e.key) & kSlotMask;
-  Slot& s = slots_[idx];
-  Callback cb = std::move(s.cb);
-  release_slot(idx);
-  now_ = e.t;
-  --live_count_;
-  ++fired_;
-  // No references into slots_ may be held across the call: the callback can
-  // schedule, growing the vector.
-  cb();
-}
-
 Time EventQueue::next_time() {
-  if (!staging_.empty()) flush_staging();
-  skim_cancelled();
-  const TimingWheel::Entry* w = next_wheel();
-  const bool heap_has = !heap_.empty();
-  if (!w && !heap_has) return Time::max();
-  if (!w) return heap_[0].t;
-  if (!heap_has) return w->t;
-  return earlier(heap_[0], Entry{w->t, w->key}) ? heap_[0].t : w->t;
+  Time t;
+  bool from_heap = false;
+  return next(t, from_heap) ? t : Time::max();
 }
 
 bool EventQueue::step() {
-  if (!staging_.empty()) flush_staging();
-  skim_cancelled();
-  const TimingWheel::Entry* w = next_wheel();
-  const bool heap_has = !heap_.empty();
-  if (!w && !heap_has) return false;
-  if (!w || (heap_has && earlier(heap_[0], Entry{w->t, w->key}))) {
-    fire_top();
-  } else {
-    fire_wheel();
-  }
+  Time t;
+  bool from_heap = false;
+  if (!next(t, from_heap)) return false;
+  fire(from_heap);
   return true;
 }
 
 bool EventQueue::step_until(Time t_end) {
-  if (!staging_.empty()) flush_staging();
-  skim_cancelled();
-  const TimingWheel::Entry* w = next_wheel();
-  const bool heap_has = !heap_.empty();
-  if (!w && !heap_has) return false;
-  const bool use_heap =
-      !w || (heap_has && earlier(heap_[0], Entry{w->t, w->key}));
-  if ((use_heap ? heap_[0].t : w->t) > t_end) return false;
-  if (use_heap) {
-    fire_top();
-  } else {
-    fire_wheel();
-  }
+  Time t;
+  bool from_heap = false;
+  if (!next(t, from_heap) || t > t_end) return false;
+  fire(from_heap);
   return true;
 }
 
-void EventQueue::flush_staging() {
-  for (const Entry& e : staging_) {
-    Slot& s = slots_[e.slot()];
-    if (!s.armed) {
-      // Cancelled while staged: reclaim without touching wheel or heap.
-      release_slot(e.slot());
-      continue;
-    }
-    if (backend_ == Backend::kHybrid) {
-      bool wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
-      if (!wheeled && wheel_.empty()) {
-        // The wheel idled through a heap-only stretch and its span window
-        // fell behind now(); re-anchor it and retry.
-        wheel_.sync(now_);
-        wheeled = wheel_.try_schedule(e.t, e.key, &s.node);
-      }
-      if (wheeled) {
-        ++wheel_scheduled_;
-        continue;
-      }
-    }
-    ++heap_scheduled_;
-    if (hole_) {
-      // Fill the fired event's root hole directly (see fire_top).
-      hole_ = false;
-      heap_[0] = e;
-      sift_down(0);
-    } else {
-      heap_push(e);
-    }
-  }
-  staging_.clear();
-}
-
-void EventQueue::fill_hole() {
-  // No staged event claimed the root hole: close it the eager way, by
-  // sifting the last element down from the root.
-  if (!hole_) return;
-  hole_ = false;
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    sift_down(0);
-  }
-}
-
 void EventQueue::skim_cancelled() {
-  fill_hole();
   while (!heap_.empty() && !slots_[heap_[0].slot()].armed) {
     release_slot(heap_pop().slot());
   }
 }
 
 void EventQueue::run_until(Time t_end) {
-  // One flush + one skim + one pop per fired event; step()'s re-checks are
-  // folded in rather than paid twice per iteration.
-  for (;;) {
-    if (!staging_.empty()) flush_staging();
-    skim_cancelled();
-    const TimingWheel::Entry* w = next_wheel();
-    const bool heap_has = !heap_.empty();
-    if (!w && !heap_has) break;
-    const bool use_heap =
-        !w || (heap_has && earlier(heap_[0], Entry{w->t, w->key}));
-    if ((use_heap ? heap_[0].t : w->t) > t_end) break;
-    if (use_heap) {
-      fire_top();
-    } else {
-      fire_wheel();
-    }
+  while (step_until(t_end)) {
   }
   if (now_ < t_end) now_ = t_end;
 }

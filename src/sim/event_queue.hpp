@@ -27,10 +27,9 @@
 //    in the set forever. Here there is nothing to leak. Where the cancelled
 //    entry sits decides when its slot comes back:
 //      - linked in a timing-wheel bucket (the common case: an RTO re-armed
-//        on every ACK was flushed into an L2 bucket at an earlier step) —
-//        at once: the slot records its wheel node, and cancel() unlinks the
+//        on every ACK, or a timer re-armed twice by one callback) — at
+//        once: the slot records its wheel node, and cancel() unlinks the
 //        node in O(1) and frees node and slot;
-//      - still staged — at the next flush;
 //      - in the wheel's ready run (one drained 8 ns bucket) — when the run
 //        reaches it;
 //      - in the heap (more than ~137 ms out) — when it reaches the top.
@@ -42,23 +41,6 @@
 //    compares identically to the sequence number (seqs are unique, so the
 //    slot bits never decide), keeping the FIFO tie-break while halving
 //    what a sift moves. Callbacks never move through the heap.
-//
-//  * Routing is deferred: schedule() appends to an unsorted staging buffer,
-//    and the wheel-vs-heap decision happens only when the queue is next
-//    stepped. An event cancelled in the same step that scheduled it (a timer
-//    re-armed twice by one callback, or armed just before a teardown) is
-//    dropped at flush without ever paying a wheel insert or a heap sift.
-//    Timers cancelled at a later step — an RTO re-armed on the next ACK —
-//    were flushed long before, and take the wheel's O(1) remove() instead.
-//    The deferral is trace-invisible: now() and the wheel cursor move only
-//    on fires, and staged entries always flush before the next fire.
-//
-//  * Pop and push fuse: firing leaves a hole at the root, and the flush
-//    drops the fired callback's successor event (the dominant "hold"
-//    pattern) straight into it. A near-future successor sifts down a level
-//    or two instead of paying the eager full-depth sift_down + sift_up
-//    pair. Fire order is unaffected — the minimum is unique, whatever the
-//    internal layout.
 //
 //  * Callbacks are sim::Callback (small-buffer optimized, move-only): the
 //    common captures — a `this` pointer, or a Port* plus a Packet — live
@@ -118,10 +100,10 @@ class EventQueue {
   size_t pending() const { return live_count_; }
 
   // Timestamp of the earliest pending event, or Time::max() if none.
-  // Performs the same pre-fire bookkeeping as step() (staging flush,
-  // cancelled-entry skim) — trace-invisible, since routing at flush time is
-  // fire-order-identical and the wheel cursor only moves on fires. The
-  // parallel window barrier uses this to size conservative time windows.
+  // Performs the same pre-fire bookkeeping as step() (reclaiming cancelled
+  // entries that surface, draining the next wheel bucket) — trace-invisible,
+  // since neither changes the (t, seq) fire order. The parallel window
+  // barrier uses this to size conservative time windows.
   Time next_time();
 
   // Fires the next event. Returns false if none remain.
@@ -146,22 +128,20 @@ class EventQueue {
   size_t wheel_entries() const { return wheel_.pending(); }
   // Total slots ever allocated: the high-water mark of slots in use, where a
   // slot is in use while its event is live, and after a cancel only while
-  // its entry is still staged, in the wheel's ready run or in the heap (a
-  // cancelled wheel-bucket entry frees its slot at once). So it stays near
-  // peak pending() however many timers were cancelled over time.
+  // its entry is in the wheel's ready run or in the heap (a cancelled
+  // wheel-bucket entry frees its slot at once). So it stays near peak
+  // pending() however many timers were cancelled over time.
   size_t pool_slots() const { return slots_.size(); }
-  size_t heap_entries() const {
-    return heap_.size() + staging_.size() - (hole_ ? 1 : 0);
-  }
+  size_t heap_entries() const { return heap_.size(); }
 
  private:
   struct Slot {
     Callback cb;
     uint32_t gen = 0;  // bumped on release; stale TimerIds stop matching
     uint32_t next_free = TimerId::kInvalidSlot;
-    // Wheel node the entry was linked at when flushed, or kNoNode (staged,
-    // heaped, or merged straight into the ready run). Goes stale once the
-    // bucket drains; cancel() checks it against the wheel before use.
+    // Wheel node the entry was linked at when scheduled, or kNoNode (heaped,
+    // or merged straight into the ready run). Goes stale once the bucket
+    // drains; cancel() checks it against the wheel before use.
     uint32_t node = TimingWheel::kNoNode;
     bool armed = false;  // false = empty, cancelled, or already fired
   };
@@ -190,29 +170,22 @@ class EventQueue {
   Entry heap_pop();
   void sift_up(size_t i);
   void sift_down(size_t i);
-  // Moves staged events into the heap, dropping already-cancelled ones.
-  void flush_staging();
   // Reclaims cancelled entries sitting at the heap top.
   void skim_cancelled();
-  // Closes a root hole left by fire_top when no staged event claimed it.
-  void fill_hole();
-  // Pops the (flushed, armed) top entry and invokes its callback.
-  void fire_top();
   // Earliest live wheel entry (cancelled ones reclaimed on the way), or
   // nullptr if the wheel has nothing pending.
   const TimingWheel::Entry* next_wheel();
-  // Pops and fires the wheel entry next_wheel() returned.
-  void fire_wheel();
+  // Finds the earliest live event: its time, and whether it is the heap top
+  // (else the wheel's next entry). Returns false if none is pending.
+  bool next(Time& t, bool& from_heap);
+  // Pops the entry next() found and invokes its callback.
+  void fire(bool from_heap);
 
   Backend backend_ = Backend::kHybrid;
-  TimingWheel wheel_;           // near-future events (kHybrid)
-  std::vector<Entry> staging_;  // scheduled, not yet heapified
-  std::vector<Entry> heap_;     // 4-ary min-heap on (t, seq)
+  TimingWheel wheel_;        // near-future events (kHybrid)
+  std::vector<Entry> heap_;  // 4-ary min-heap on (t, seq)
   std::vector<Slot> slots_;
   uint32_t free_head_ = TimerId::kInvalidSlot;
-  // True while heap_[0] is a fired event's stale entry, waiting to be
-  // overwritten by the next staged event (pop-push fusion; see fire_top).
-  bool hole_ = false;
   Time now_;
   uint64_t next_seq_ = 1;
   size_t live_count_ = 0;

@@ -140,7 +140,7 @@ TEST(EventQueue, CancelAfterFireRetainsNoPerTimerState) {
 
 // The window transports' RTO pattern: every 1 us tick (an ACK) cancels the
 // connection's 10 ms retransmission timer and arms a new one. The cancelled
-// timer was flushed into a wheel bucket at an earlier step, so cancel()
+// timer was linked into a wheel bucket when it was scheduled, so cancel()
 // frees its slot at once and the pool holds only the live events. A cancel
 // that merely disarmed would keep each timer's slot until its old deadline,
 // 10^4 ticks later.
@@ -165,6 +165,28 @@ TEST(EventQueue, RearmedTimerFreesItsSlotAtCancel) {
   EXPECT_LE(q.pool_slots(), 4u);
 }
 
+// A timer cancelled by the code that just scheduled it, before the queue
+// steps again, frees its slot at once: a near-future one is already linked
+// in a wheel bucket, and a far-future one is the heap top, skimmed at
+// cancel. Nothing cancelled is left behind in either structure.
+TEST(EventQueue, SameStepCancelFreesItsSlot) {
+  EventQueue q;
+  for (int i = 0; i < 1000; ++i) {
+    const Time t = i % 2 == 0 ? Time::us(1 + i % 7) : Time::ms(200 + i);
+    q.cancel(q.schedule(t, [] { FAIL() << "cancelled"; }));
+  }
+  bool far_fired = false;
+  q.schedule(Time::ms(500), [&] { far_fired = true; });
+  EXPECT_EQ(q.pool_slots(), 1u);
+  EXPECT_EQ(q.heap_entries(), 1u);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.cancelled(), 1000u);
+  q.run();
+  EXPECT_TRUE(far_fired);
+  EXPECT_EQ(q.pool_slots(), 1u);
+  EXPECT_EQ(q.heap_entries(), 0u);
+}
+
 // A handle whose entry already left its bucket for the ready run takes the
 // lazy path — even when the wheel node it was linked at has since been
 // recycled for another entry, which must survive.
@@ -180,8 +202,10 @@ TEST(EventQueue, CancelAfterDrainSparesTheNodesNextEntry) {
   q.schedule(Time::ns(10), [&] {
     q.schedule(q.now() + Time::us(1), [&] { c_fired = true; });
   });
-  ASSERT_TRUE(q.step());  // fires A; B waits in the ready run
-  ASSERT_EQ(q.next_time(), Time::ns(10) + Time::ps(1));  // flushes C
+  // Fires A, whose callback links C at B's old node; B waits in the
+  // ready run.
+  ASSERT_TRUE(q.step());
+  ASSERT_EQ(q.next_time(), Time::ns(10) + Time::ps(1));
   q.cancel(b);
   EXPECT_EQ(q.pending(), 1u);
   q.run();

@@ -314,15 +314,15 @@ TEST(TimingWheel, HybridMatchesHeapOnlyOnRandomizedWorkload) {
   EXPECT_EQ(hybrid, heap);
 }
 
-// Differential check of the three ways a hybrid queue frees a cancelled
-// entry — dropped at flush (staged), skipped as the ready run reaches it,
-// or unlinked from its bucket at cancel time — against the heap-only
-// backend, where every cancel is lazy. Horizons cover L0, L1, L2 and the
-// heap, plus instants on L0/L1 window boundaries, so cancels land on both
-// sides of cascades.
+// Differential check of the ways a hybrid queue frees a cancelled entry —
+// unlinked from its bucket at cancel time (whether scheduled in the same
+// step or an earlier one), skipped as the ready run reaches it, or skimmed
+// at the heap top — against the heap-only backend, where every cancel is
+// lazy. Horizons cover L0, L1, L2 and the heap, plus instants on L0/L1
+// window boundaries, so cancels land on both sides of cascades.
 TEST(TimingWheel, EagerCancelMatchesHeapOnlyAcrossLevels) {
   struct CancelKinds {
-    int staged = 0;       // scheduled in the same step
+    int same_step = 0;    // cancelled by the callback that scheduled it
     int same_bucket = 0;  // due in the current 8 ns bucket (ready run)
     int later = 0;        // bucketed further out (or heaped)
   };
@@ -370,7 +370,7 @@ TEST(TimingWheel, EagerCancelMatchesHeapOnlyAcrossLevels) {
         if (next() % 6 == 0) {
           q.cancel(timers.back().id);
           timers.back().live = false;
-          if (kinds) ++kinds->staged;
+          if (kinds) ++kinds->same_step;
         }
       }
       // Cancel recent timers scheduled at earlier steps: a random one, and
@@ -413,7 +413,7 @@ TEST(TimingWheel, EagerCancelMatchesHeapOnlyAcrossLevels) {
   const auto heap = run(EventQueue::Backend::kHeapOnly, nullptr);
   ASSERT_GT(hybrid.size(), 20000u);
   EXPECT_EQ(hybrid, heap);
-  EXPECT_GT(kinds.staged, 1000);
+  EXPECT_GT(kinds.same_step, 1000);
   EXPECT_GT(kinds.same_bucket, 100);
   EXPECT_GT(kinds.later, 1000);
 }
@@ -424,11 +424,10 @@ TEST(TimingWheel, HybridQueueRoutesHotEventsToWheel) {
     q.schedule(Time::ns(10 * i), [] {});
   }
   q.schedule(Time::sec(1), [] {});  // far future: heap
-  q.run();
-  // Routing is decided at flush (see EventQueue::schedule), so the split is
-  // observable once the queue has stepped.
+  // Routing is decided in schedule(), before the queue steps.
   EXPECT_EQ(q.wheel_scheduled(), 100u);
   EXPECT_EQ(q.heap_scheduled(), 1u);
+  q.run();
   EXPECT_EQ(q.fired(), 101u);
 }
 

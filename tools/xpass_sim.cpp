@@ -1,11 +1,11 @@
 // xpass_sim — command-line driver for the simulator.
 //
-// Examples:
-//   xpass_sim --topology=dumbbell --pairs=8 --protocol=expresspass \
+// Examples (each one command, wrapped here):
+//   xpass_sim --topology=dumbbell --pairs=8 --protocol=expresspass
 //             --flows=8 --bytes=long --duration-ms=50
-//   xpass_sim --topology=clos --protocol=dctcp --workload=websearch \
+//   xpass_sim --topology=clos --protocol=dctcp --workload=websearch
 //             --load=0.6 --flows=2000
-//   xpass_sim --topology=fattree --k=8 --protocol=expresspass \
+//   xpass_sim --topology=fattree --k=8 --protocol=expresspass
 //             --incast=128 --bytes=100000 --json=out.json
 //
 // Prints goodput, fairness, FCT percentiles, queue statistics, and drop
